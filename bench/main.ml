@@ -33,6 +33,7 @@
 open Ujam_linalg
 open Ujam_core
 open Ujam_engine
+module Json = Ujam_obs.Json
 
 let schema_version = 1
 let bench_generation = 8
@@ -57,6 +58,26 @@ type report = {
 }
 
 let throughput r = float_of_int r.items /. Float.max 1e-9 r.wall_s
+
+(* The engine's choice for one nest under the cache-aware (default) or
+   all-hits balance; every nest benchmarked here is in the supported
+   class. *)
+let choose ?(cache = true) ~bound ~machine nest =
+  let model : (module Model.MODEL) =
+    if cache then (module Model.Ugs_tables) else (module Model.No_cache)
+  in
+  match
+    Engine.analyze ~bound ~model ~machine ~routine:(Ujam_ir.Nest.name nest) nest
+  with
+  | Ok r -> r
+  | Error e -> failwith (Error.to_string e)
+
+(* Simulated time of the chosen unroll-and-jam plus scalar replacement,
+   normalized to the original nest's. *)
+let simulate_choice ~machine ~baseline nest (r : Engine.nest_report) =
+  let t = Ujam_ir.Transform.apply_exn (Ujam_ir.Transform.Unroll r.Engine.u) nest in
+  Ujam_sim.Runner.normalized ~baseline
+    (Ujam_sim.Runner.run ~machine ~plan:(Scalar_replace.plan t) t)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: input-dependence share of routine dependence graphs.      *)
@@ -105,11 +126,8 @@ let figure machine ppf =
         let nest = e.Ujam_kernels.Catalogue.build () in
         let baseline = Ujam_sim.Runner.run ~machine nest in
         let normalized cache =
-          let r = Driver.optimize ~bound:8 ~cache ~machine nest in
-          let sim =
-            Ujam_sim.Runner.run ~machine ~plan:r.Driver.plan r.Driver.transformed
-          in
-          (r.Driver.choice.Search.u, Ujam_sim.Runner.normalized ~baseline sim)
+          let r = choose ~cache ~bound:8 ~machine nest in
+          (r.Engine.u, simulate_choice ~machine ~baseline nest r)
         in
         let u_nc, nocache = normalized false in
         let u_c, cache = normalized true in
@@ -251,10 +269,9 @@ let ablation_prefetch ppf =
       List.iter
         (fun prefetch_bandwidth ->
           let machine = Ujam_machine.Presets.generic ~prefetch_bandwidth () in
-          let r = Driver.optimize ~bound:6 ~machine nest in
-          Format.fprintf ppf " %-8s b=%.2f"
-            (Vec.to_string r.Driver.choice.Search.u)
-            r.Driver.choice.Search.balance)
+          let r = choose ~bound:6 ~machine nest in
+          Format.fprintf ppf " %-8s b=%.2f" (Vec.to_string r.Engine.u)
+            r.Engine.balance_after)
         bws;
       Format.fprintf ppf "@.")
     loops;
@@ -272,17 +289,14 @@ let ablation_permute ppf =
     (fun (e : Ujam_kernels.Catalogue.entry) ->
       let nest = e.Ujam_kernels.Catalogue.build () in
       let baseline = Ujam_sim.Runner.run ~machine nest in
-      let plain = Driver.optimize ~bound:8 ~machine nest in
       let t_plain =
-        Ujam_sim.Runner.normalized ~baseline
-          (Ujam_sim.Runner.run ~machine ~plan:plain.Driver.plan
-             plain.Driver.transformed)
+        simulate_choice ~machine ~baseline nest (choose ~bound:8 ~machine nest)
       in
-      let choice, combined = Permute.optimize ~bound:8 ~machine nest in
+      let choice = Permute.best_legal ~machine nest in
+      let permuted = choice.Permute.permuted in
       let t_comb =
-        Ujam_sim.Runner.normalized ~baseline
-          (Ujam_sim.Runner.run ~machine ~plan:combined.Driver.plan
-             combined.Driver.transformed)
+        simulate_choice ~machine ~baseline permuted
+          (choose ~bound:8 ~machine permuted)
       in
       Format.fprintf ppf "%-10s %-12s %-10.3f %-10.3f %.3f->%.3f@."
         e.Ujam_kernels.Catalogue.name
@@ -314,15 +328,9 @@ let ablation_registers ppf =
               ~cache_size:16384 ~cache_line:4 ~miss_penalty:24 ~fp_latency:6 ()
           in
           let baseline = Ujam_sim.Runner.run ~machine nest in
-          let r = Driver.optimize ~bound:10 ~machine nest in
-          let t =
-            Ujam_sim.Runner.normalized ~baseline
-              (Ujam_sim.Runner.run ~machine ~plan:r.Driver.plan
-                 r.Driver.transformed)
-          in
-          Format.fprintf ppf " %-8s t=%.3f"
-            (Vec.to_string r.Driver.choice.Search.u)
-            t)
+          let r = choose ~bound:10 ~machine nest in
+          Format.fprintf ppf " %-8s t=%.3f" (Vec.to_string r.Engine.u)
+            (simulate_choice ~machine ~baseline nest r))
         regs;
       Format.fprintf ppf "@.")
     loops;
@@ -484,7 +492,12 @@ let speed ppf =
                  e.Ujam_kernels.Catalogue.build ~n:12 ())
                Ujam_kernels.Catalogue.all));
       Test.make ~name:"fig8:select+transform-mmjki"
-        (Staged.stage (fun () -> Driver.optimize ~bound:4 ~machine nest));
+        (Staged.stage (fun () ->
+             Engine.memo_clear ();
+             let r = choose ~bound:4 ~machine nest in
+             Scalar_replace.plan
+               (Ujam_ir.Transform.apply_exn
+                  (Ujam_ir.Transform.Unroll r.Engine.u) nest)));
       Test.make ~name:"fig8:simulate-mmjki-n24"
         (Staged.stage (fun () -> Ujam_sim.Runner.run ~machine nest));
       Test.make ~name:"core:gts-table-build"
@@ -759,9 +772,9 @@ let native_bench ppf =
           (fun k ->
             let e = Option.get (Ujam_kernels.Catalogue.find k) in
             let nest = e.Ujam_kernels.Catalogue.build ~n:48 () in
-            let r = Driver.optimize ~bound:8 ~cache:true ~machine nest in
             let u =
-              Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u
+              Ujam_ir.Unroll.clamp_divisible nest
+                (choose ~bound:8 ~machine nest).Engine.u
             in
             let spec =
               { Ujam_native.Emit.uname = k;
@@ -1119,8 +1132,11 @@ let threshold = ref 0.10
 let alloc_threshold = ref 0.25
 let compare_files = ref None
 
-let usage () =
-  Format.eprintf
+(* [--help] prints the usage on stdout and succeeds; a bad argument
+   prints it on stderr and exits 2. *)
+let usage ?(help = false) () =
+  Format.fprintf
+    (if help then Format.std_formatter else Format.err_formatter)
     "usage: bench [EXPERIMENT...] [--quick] [--native] [--seed S] [--json] [--out FILE]@.\
     \       bench --compare OLD.json NEW.json [--threshold T] [--alloc-threshold T]@.\
      experiments: table1 table2 fig8 fig9 ablation-model ablation-brute@.\
@@ -1129,7 +1145,7 @@ let usage () =
     \             quick-matrix quick-corpus all@.\
      `all' excludes `native' (needs a host OCaml toolchain); add it with@.\
     \ --native or by naming it explicitly.@.";
-  exit 2
+  exit (if help then 0 else 2)
 
 (* Strip global options out of the argument list before dispatching. *)
 let rec extract_options = function
@@ -1171,6 +1187,7 @@ let rec extract_options = function
   | arg :: rest -> arg :: extract_options rest
 
 let names_of_arg = function
+  | "--help" | "-h" -> usage ~help:true ()
   | "--quick" | "quick" -> [ "quick-matrix"; "quick-corpus" ]
   | "all" -> all_names
   | name when List.exists (fun (n, _, _) -> String.equal n name) experiments ->

@@ -1,14 +1,19 @@
 (* ujc — unroll-and-jam compiler driver.
 
-   Subcommands expose each stage of the pipeline on the kernel suite:
-   list/show the kernels, analyze reuse, build the unroll tables,
-   optimize (choose unroll amounts and transform), and simulate. *)
+   Subcommands expose each stage of the pipeline: list/show the kernels,
+   analyze reuse, build the unroll tables, optimize (choose unroll
+   amounts through the engine, transform, scalar-replace), simulate,
+   verify, emit, lint, explain and dot.  Every verb that takes a nest
+   reads its TARGET through one resolver: a catalogue kernel or a
+   loop-nest file. *)
 
 open Cmdliner
 open Ujam_linalg
 open Ujam_core
 open Ujam_engine
 module Obs = Ujam_obs.Obs
+module Json = Ujam_obs.Json
+module Nest = Ujam_ir.Nest
 
 let machine_conv =
   let parse s =
@@ -43,11 +48,6 @@ let bound_arg =
   Arg.(
     value & opt int 8
     & info [ "b"; "bound" ] ~docv:"B" ~doc:"Unroll-space bound per loop.")
-
-let cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Use the all-hits balance model of Carr-Kennedy.")
 
 let level_arg =
   Arg.(
@@ -96,36 +96,71 @@ let timings_arg =
     & info [ "timings" ]
         ~doc:"Report per-stage analysis timings (graph/tables/search/sim).")
 
-(* --no-cache is sugar for the no-cache strategy on engine-backed paths. *)
-let effective_model no_cache model =
-  if no_cache then (module Model.No_cache : Model.MODEL) else model
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let kernel_arg =
-  let parse s =
-    match Ujam_kernels.Catalogue.find s with
-    | Some e -> Ok e
-    | None -> (
-        match List.assoc_opt s Ujam_kernels.Extras.all with
-        | Some build ->
-            Ok
-              { Ujam_kernels.Catalogue.num = 0; name = s;
-                description = "extra kernel";
-                build = (fun ?n () -> build ?n ()) }
-        | None ->
-            Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s)))
-  in
-  let print ppf (e : Ujam_kernels.Catalogue.entry) =
-    Format.pp_print_string ppf e.Ujam_kernels.Catalogue.name
-  in
-  Arg.(
-    required
-    & pos 0 (some (conv (parse, print))) None
-    & info [] ~docv:"KERNEL" ~doc:"Kernel name from Table 2 (see `ujc list').")
+(* ------------------------------------------------------------------ *)
+(* TARGET: the one resolver behind every nest-taking verb.  A path to a
+   regular file is parsed as a loop nest in the Fortran-style syntax
+   (named after the file); anything else names a catalogue or extra
+   kernel, built at size [n]. *)
 
-let build (e : Ujam_kernels.Catalogue.entry) n =
-  match n with
-  | Some n -> e.Ujam_kernels.Catalogue.build ~n ()
-  | None -> e.Ujam_kernels.Catalogue.build ()
+let resolve_target n s =
+  if Sys.file_exists s && not (Sys.is_directory s) then
+    Ujam_ir.Parse.nest
+      ~name:(Filename.remove_extension (Filename.basename s))
+      (read_file s)
+    |> Result.map_error (fun e -> `Parse e)
+  else
+    let build =
+      match Ujam_kernels.Catalogue.find s with
+      | Some e -> Some e.Ujam_kernels.Catalogue.build
+      | None -> List.assoc_opt s Ujam_kernels.Extras.all
+    in
+    match build with Some b -> Ok (b ?n ()) | None -> Error `Unknown
+
+let target_fail s = function
+  | `Parse e ->
+      Format.eprintf "%s: %a@." s Ujam_ir.Parse.pp_error e;
+      exit 1
+  | `Unknown ->
+      Format.eprintf "ujc: unknown kernel or file %S; see `ujc list'@." s;
+      exit 2
+
+let target_nest n s =
+  match resolve_target n s with Ok nest -> nest | Error e -> target_fail s e
+
+let target_doc =
+  "Kernel name from Table 2, an extra kernel, or a loop-nest file (see \
+   `ujc show')."
+
+let target_opt_arg =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc:target_doc)
+
+(* The resolved nest of a required TARGET, sized by -n. *)
+let target =
+  Term.(
+    const target_nest $ size_arg
+    $ Arg.(
+        required & pos 0 (some string) None
+        & info [] ~docv:"TARGET" ~doc:target_doc))
+
+(* The engine's report for one nest; a typed error (e.g. a nest outside
+   the supported class) is printed and exits 1. *)
+let analyze_exn ?seq ~bound ~model ~machine nest =
+  match
+    Engine.analyze ~bound ~model ?seq ~machine ~routine:(Nest.name nest) nest
+  with
+  | Ok r -> r
+  | Error e ->
+      Format.eprintf "@[<v>%a@]@." Error.pp e;
+      exit 1
+
+(* Unroll-and-jam by the chosen vector, then plan scalar replacement. *)
+let transform nest (r : Engine.nest_report) =
+  let t =
+    Ujam_ir.Transform.apply_exn (Ujam_ir.Transform.Unroll r.Engine.u) nest
+  in
+  (t, Scalar_replace.plan t)
 
 let list_cmd =
   let run () =
@@ -137,13 +172,12 @@ let list_cmd =
     Term.(const run $ const ())
 
 let show_cmd =
-  let run e n = Format.printf "%a@." Ujam_ir.Nest.pp (build e n) in
-  Cmd.v (Cmd.info "show" ~doc:"Print a kernel as Fortran-style source.")
-    Term.(const run $ kernel_arg $ size_arg)
+  let run nest = Format.printf "%a@." Nest.pp nest in
+  Cmd.v (Cmd.info "show" ~doc:"Print a nest as Fortran-style source.")
+    Term.(const run $ target)
 
 let analyze_cmd =
-  let run e n (machine : Ujam_machine.Machine.t) json =
-    let nest = build e n in
+  let run nest (machine : Ujam_machine.Machine.t) json =
     let ctx = Analysis_ctx.create ~machine nest in
     let d = Ujam_ir.Nest.depth nest in
     let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
@@ -223,12 +257,11 @@ let analyze_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Reuse and dependence analysis of a kernel.")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ json_arg)
+    (Cmd.info "analyze" ~doc:"Reuse and dependence analysis of a nest.")
+    Term.(const run $ target $ machine_arg $ json_arg)
 
 let tables_cmd =
-  let run e n bound =
-    let nest = build e n in
+  let run nest bound =
     let d = Ujam_ir.Nest.depth nest in
     let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
     let bounds = Array.make d bound in
@@ -254,8 +287,8 @@ let tables_cmd =
           gt gs)
   in
   Cmd.v
-    (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel.")
-    Term.(const run $ kernel_arg $ size_arg $ bound_arg)
+    (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a nest.")
+    Term.(const run $ target $ bound_arg)
 
 let print_corpus_report ~json ~timings report =
   if json then print_endline (Json.to_string (Engine.to_json ~timings report))
@@ -271,29 +304,6 @@ let check_arg =
         ~doc:"Exit 1 if any nest fails analysis (the CI smoke gate).")
 
 let optimize_cmd =
-  let kernel_opt_arg =
-    let parse s =
-      match Ujam_kernels.Catalogue.find s with
-      | Some e -> Ok e
-      | None -> (
-          match List.assoc_opt s Ujam_kernels.Extras.all with
-          | Some build ->
-              Ok
-                { Ujam_kernels.Catalogue.num = 0; name = s;
-                  description = "extra kernel";
-                  build = (fun ?n () -> build ?n ()) }
-          | None ->
-              Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s)))
-    in
-    let print ppf (e : Ujam_kernels.Catalogue.entry) =
-      Format.pp_print_string ppf e.Ujam_kernels.Catalogue.name
-    in
-    Arg.(
-      value
-      & pos 0 (some (conv (parse, print))) None
-      & info [] ~docv:"KERNEL"
-          ~doc:"Kernel name from Table 2 (omit with $(b,--all)).")
-  in
   let all_flag =
     Arg.(
       value & flag
@@ -305,13 +315,15 @@ let optimize_cmd =
       & info [ "native-check" ]
           ~doc:"After optimizing, compile and run the original nest and the               chosen unroll with the host OCaml toolchain: validate both               against the reference interpreter and measure the actual               speedup over (1,...,1).  Exits 2 when no toolchain is on               PATH, 1 when the compiled run diverges from the               interpreter.")
   in
-  let run e_opt n machine bound no_cache model all domains json timings seq
-      check native_check level =
-    let model =
-      match level with
-      | Some k -> Model.at_level k
-      | None -> effective_model no_cache model
-    in
+  let permute_flag =
+    Arg.(
+      value & flag
+      & info [ "permute" ]
+          ~doc:"Run the loop-permutation pre-pass: pick the legal loop order               with the best innermost locality, then optimize that nest.")
+  in
+  let run target n machine bound model all domains json timings seq check
+      native_check level permute =
+    let model = match level with Some k -> Model.at_level k | None -> model in
     let tc_opt =
       if not native_check then None
       else
@@ -322,12 +334,14 @@ let optimize_cmd =
               "ujc optimize: --native-check needs a native toolchain: %s@." msg;
             exit 2
     in
-    if native_check && json then begin
-      Format.eprintf "ujc optimize: --native-check has no --json form yet@.";
+    if native_check && (json || seq || all) then begin
+      Format.eprintf
+        "ujc optimize: --native-check works on a single nest, without --json, \
+         --seq or --all@.";
       exit 2
     end;
-    let run_native_check tc r =
-      match Ujam_native.Native.check_choice tc r with
+    let run_native_check tc nest (r : Engine.nest_report) =
+      match Ujam_native.Native.check_choice tc nest r.Engine.u with
       | Error err ->
           Format.eprintf "native check: %a@." Ujam_engine.Error.pp err;
           exit 1
@@ -353,11 +367,6 @@ let optimize_cmd =
           if not c.Ujam_native.Native.equivalent then exit 1
     in
     if all then begin
-      if native_check then begin
-        Format.eprintf
-          "ujc optimize: --native-check works on a single kernel, not --all@.";
-        exit 2
-      end;
       let report =
         Engine.run_corpus ~domains ~bound ~model ~seq ~machine
           (Engine.routines_of_catalogue ?n ())
@@ -366,177 +375,93 @@ let optimize_cmd =
       if check && report.Engine.failed > 0 then exit 1
     end
     else
-      match e_opt with
+      match target with
       | None ->
-          Format.eprintf "ujc optimize: missing KERNEL argument (or pass --all)@.";
+          Format.eprintf "ujc optimize: missing TARGET argument (or pass --all)@.";
           exit 2
-      | Some e -> (
-          let nest = build e n in
-          let mname = Model.name model in
-          if json then
-            let outcome =
-              Engine.analyze ~bound ~model ~seq ~machine
-                ~routine:e.Ujam_kernels.Catalogue.name nest
-            in
+      | Some s ->
+          let nest = target_nest n s in
+          let nest, permutation =
+            if not permute then (nest, None)
+            else
+              let c = Permute.best_legal ~machine nest in
+              (c.Permute.permuted, Some c)
+          in
+          let name = Nest.name nest in
+          if json then begin
+            let outcome = Engine.analyze ~bound ~model ~seq ~machine ~routine:name nest in
             print_endline
               (Json.to_string
                  (Json.Obj
-                    [ ("kernel", Json.Str e.Ujam_kernels.Catalogue.name);
-                      ("machine",
-                       Json.Str machine.Ujam_machine.Machine.name);
-                      ("result", Engine.nest_outcome_to_json outcome) ]))
-          else
-            match mname with
-            | ("ugs" | "no-cache") when not seq ->
-                let r =
-                  Driver.optimize ~bound ~cache:(mname = "ugs") ~machine nest
-                in
-                Format.printf "%a@.@." Driver.pp r;
-                Format.printf "--- transformed ---@.%a@.@." Ujam_ir.Nest.pp
-                  r.Driver.transformed;
-                Format.printf "--- after scalar replacement ---@.%a@."
-                  Ujam_ir.Nest.pp
-                  (Scalar_replace.apply r.Driver.transformed r.Driver.plan);
-                Option.iter (fun tc -> run_native_check tc r) tc_opt
-            | _ ->
-                if native_check then begin
-                  Format.eprintf
-                    "ujc optimize: --native-check needs the ugs or no-cache \
-                     model without --seq@.";
-                  exit 2
-                end;
-                let outcome =
-                  Engine.analyze ~bound ~model ~seq ~machine
-                    ~routine:e.Ujam_kernels.Catalogue.name nest
-                in
-                Format.printf "%a@." Engine.pp_nest_outcome outcome)
+                    ([ ("kernel", Json.Str name);
+                       ("machine", Json.Str machine.Ujam_machine.Machine.name) ]
+                    @ (match permutation with
+                      | None -> []
+                      | Some c ->
+                          [ ( "permutation",
+                              Json.List
+                                (Array.to_list
+                                   (Array.map
+                                      (fun l -> Json.Int l)
+                                      c.Permute.permutation)) ) ])
+                    @ [ ("result", Engine.nest_outcome_to_json outcome) ])));
+            if Result.is_error outcome then exit 1
+          end
+          else begin
+            Option.iter
+              (fun c ->
+                Format.printf "permutation [%s], Eq.1 cost %.3f -> %.3f@."
+                  (String.concat ";"
+                     (Array.to_list
+                        (Array.map string_of_int c.Permute.permutation)))
+                  c.Permute.original_cost c.Permute.cost)
+              permutation;
+            let r = analyze_exn ~seq ~bound ~model ~machine nest in
+            if seq then
+              (* The report's u applies to the legalized nest, so the
+                 sequence path prints the report line, not a transform. *)
+              Format.printf "@[<v>%a@]@." Engine.pp_nest_outcome (Ok r)
+            else begin
+              let transformed, plan = transform nest r in
+              Format.printf "%a@.@." (Engine.pp_report ~machine ~plan) r;
+              Format.printf "--- transformed ---@.%a@.@." Nest.pp transformed;
+              Format.printf "--- after scalar replacement ---@.%a@." Nest.pp
+                (Scalar_replace.apply transformed plan);
+              Option.iter (fun tc -> run_native_check tc nest r) tc_opt
+            end
+          end
   in
   Cmd.v
     (Cmd.info "optimize"
-       ~doc:"Choose unroll amounts, transform, and scalar-replace a kernel              (or batch-optimize the whole catalogue with $(b,--all)).")
-    Term.(const run $ kernel_opt_arg $ size_arg $ machine_arg $ bound_arg
-          $ cache_arg $ model_arg $ all_flag $ domains_arg $ json_arg
-          $ timings_arg $ seq_arg $ check_arg $ native_check_flag $ level_arg)
+       ~doc:"Choose unroll amounts through the engine, transform, and              scalar-replace a nest (or batch-optimize the whole catalogue              with $(b,--all)); exits 1 when the nest is outside the              supported class.")
+    Term.(const run $ target_opt_arg $ size_arg $ machine_arg $ bound_arg
+          $ model_arg $ all_flag $ domains_arg $ json_arg $ timings_arg
+          $ seq_arg $ check_arg $ native_check_flag $ level_arg $ permute_flag)
 
 let simulate_cmd =
-  let run e n machine bound no_cache =
-    let nest = build e n in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
+  let run nest machine bound model =
+    let r = analyze_exn ~bound ~model ~machine nest in
+    let transformed, plan = transform nest r in
     let s0 = Ujam_sim.Runner.run ~machine nest in
-    let s1 = Ujam_sim.Runner.run ~machine ~plan:r.Driver.plan r.Driver.transformed in
+    let s1 = Ujam_sim.Runner.run ~machine ~plan transformed in
     Format.printf "machine: %a@." Ujam_machine.Machine.pp machine;
     Format.printf "original:    %a@." Ujam_sim.Runner.pp s0;
     Format.printf "transformed: %a (u = %a)@." Ujam_sim.Runner.pp s1 Vec.pp
-      r.Driver.choice.Search.u;
+      r.Engine.u;
     Format.printf "normalized execution time: %.3f@."
       (Ujam_sim.Runner.normalized ~baseline:s0 s1)
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Simulate a kernel before and after optimization.")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg)
-
-let file_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"FILE" ~doc:"Loop nest in the Fortran-style syntax (see `ujc show').")
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let parse_file path =
-  match Ujam_ir.Parse.nest ~name:(Filename.remove_extension (Filename.basename path))
-          (read_file path)
-  with
-  | Ok nest -> nest
-  | Error e ->
-      Format.eprintf "%s: %a@." path Ujam_ir.Parse.pp_error e;
-      exit 1
-
-let compile_cmd =
-  let run path machine bound no_cache permute =
-    let nest = parse_file path in
-    let nest, perm_note =
-      if permute then begin
-        let c = Permute.best_legal ~machine nest in
-        ( c.Permute.permuted,
-          Printf.sprintf "permutation [%s], Eq.1 cost %.3f -> %.3f"
-            (String.concat ";"
-               (Array.to_list (Array.map string_of_int c.Permute.permutation)))
-            c.Permute.original_cost c.Permute.cost )
-      end
-      else (nest, "")
-    in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-    if perm_note <> "" then Format.printf "%s@." perm_note;
-    Format.printf "%a@.@." Driver.pp r;
-    Format.printf "%a@." Ujam_ir.Nest.pp
-      (Scalar_replace.apply r.Driver.transformed r.Driver.plan)
-  in
-  let permute_flag =
-    Arg.(value & flag & info [ "permute" ] ~doc:"Run the loop-permutation pre-pass.")
-  in
-  Cmd.v
-    (Cmd.info "compile"
-       ~doc:"Optimize a loop nest read from a file (parse, permute,              unroll-and-jam, scalar replace).")
-    Term.(const run $ file_arg $ machine_arg $ bound_arg $ cache_arg $ permute_flag)
-
-let fortran_cmd =
-  let run e n machine bound no_cache transform =
-    let nest = build e n in
-    let out =
-      if transform then begin
-        let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-        Scalar_replace.apply r.Driver.transformed r.Driver.plan
-      end
-      else nest
-    in
-    print_string (Ujam_sim.Codegen.to_program out)
-  in
-  let transform_flag =
-    Arg.(value & flag & info [ "transform" ] ~doc:"Emit the optimized loop.")
-  in
-  Cmd.v
-    (Cmd.info "fortran"
-       ~doc:"Emit a runnable Fortran 77 program for a kernel (optionally              after optimization).")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg
-          $ transform_flag)
-
-let graph_cmd =
-  let dot_flag =
-    Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of text.")
-  in
-  let input_flag =
-    Arg.(
-      value & flag
-      & info [ "no-input" ]
-          ~doc:"Exclude input (read-read) dependences, as the UGS model does.")
-  in
-  let run e n dot no_input =
-    let nest = build e n in
-    let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
-    if dot then print_string (Ujam_depend.Graph.to_dot g)
-    else begin
-      Format.printf "%a@." Ujam_depend.Graph.pp g;
-      Format.printf "%a@." Ujam_depend.Stats.pp (Ujam_depend.Stats.of_graph g)
-    end
-  in
-  Cmd.v
-    (Cmd.info "graph" ~doc:"Print a kernel's dependence graph (optionally DOT).")
-    Term.(const run $ kernel_arg $ size_arg $ dot_flag $ input_flag)
+    (Cmd.info "simulate" ~doc:"Simulate a nest before and after optimization.")
+    Term.(const run $ target $ machine_arg $ bound_arg $ model_arg)
 
 let verify_cmd =
-  let run e n machine bound no_cache =
-    let nest = build e n in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
+  let run nest machine bound model =
+    let r = analyze_exn ~bound ~model ~machine nest in
     (* Clamp the chosen unroll amounts to factors dividing the trip
        counts: the remainder (cleanup) loop is outside the IR's perfect
        nests, so verification requires exact coverage. *)
-    let u = Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u in
+    let u = Ujam_ir.Unroll.clamp_divisible nest r.Engine.u in
     let t = Ujam_ir.Unroll.unroll_and_jam nest u in
     let plan = Scalar_replace.plan t in
     let body = Scalar_replace.apply t plan in
@@ -546,7 +471,7 @@ let verify_cmd =
     let ok = Ujam_sim.Interp.equal reference transformed in
     Format.printf
       "%s: search chose u = %a, verified at u = %a@.interpreted checksums: original %.9f, transformed %.9f@.locations written: %d vs %d@.semantics %s@."
-      (Ujam_ir.Nest.name nest) Vec.pp r.Driver.choice.Search.u Vec.pp u
+      (Nest.name nest) Vec.pp r.Engine.u Vec.pp u
       (Ujam_sim.Interp.checksum reference)
       (Ujam_sim.Interp.checksum transformed)
       (Ujam_sim.Interp.written reference)
@@ -556,8 +481,8 @@ let verify_cmd =
   in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Interpret a kernel before and after the full pipeline              (unroll-and-jam, scalar replacement, chain priming) and              compare the results element by element.")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg)
+       ~doc:"Interpret a nest before and after the full pipeline              (unroll-and-jam, scalar replacement, chain priming) and              compare the results element by element.")
+    Term.(const run $ target $ machine_arg $ bound_arg $ model_arg)
 
 let corpus_cmd =
   let count_arg =
@@ -589,8 +514,8 @@ let corpus_cmd =
       & info [ "dedup" ]
           ~doc:"Analyze each canonically distinct nest once (content hash               over alpha-renamed, commutatively sorted structure) and               replay the outcome for its duplicates.")
   in
-  let run count seed machine bound no_cache model domains json timings stats
-      seq recurrent dedup check =
+  let run count seed machine bound model domains json timings stats seq
+      recurrent dedup check =
     let count = max 0 count in
     let routines =
       Ujam_workload.Generator.corpus ~seed ~recurrent ~count ()
@@ -599,7 +524,6 @@ let corpus_cmd =
       Format.printf "%a@." Ujam_workload.Corpus.pp
         (Ujam_workload.Corpus.measure routines)
     else begin
-      let model = effective_model no_cache model in
       let report =
         Engine.run_corpus ~domains ~bound ~model ~seq ~dedup ~machine routines
       in
@@ -611,7 +535,7 @@ let corpus_cmd =
     (Cmd.info "corpus"
        ~doc:"Run the selection pipeline over a synthetic corpus              (per-routine reports; $(b,--stats) for the Table-1              input-dependence statistics).")
     Term.(const run $ count_arg $ seed_arg $ machine_arg $ corpus_bound_arg
-          $ cache_arg $ model_arg $ domains_arg $ json_arg $ timings_arg
+          $ model_arg $ domains_arg $ json_arg $ timings_arg
           $ stats_flag $ seq_arg $ recurrent_flag $ dedup_flag $ check_arg)
 
 let fuzz_cmd =
@@ -718,62 +642,12 @@ let fuzz_cmd =
           $ shrink_flag $ recurrent_flag $ dedup_flag $ json_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Analysis subcommands: lint / explain / dot take either a kernel name
-   or a loop-nest file in the Fortran-style syntax. *)
-
-type target_nest =
-  | T_nest of Ujam_ir.Nest.t
-  | T_parse_error of string * Ujam_ir.Parse.error
-
-let resolve_target s n =
-  if Sys.file_exists s && not (Sys.is_directory s) then
-    match
-      Ujam_ir.Parse.nest
-        ~name:(Filename.remove_extension (Filename.basename s))
-        (read_file s)
-    with
-    | Ok nest -> Some (T_nest nest)
-    | Error e -> Some (T_parse_error (s, e))
-  else
-    match Ujam_kernels.Catalogue.find s with
-    | Some e -> Some (T_nest (build e n))
-    | None -> (
-        match List.assoc_opt s Ujam_kernels.Extras.all with
-        | Some b ->
-            Some (T_nest (match n with Some n -> b ~n () | None -> b ()))
-        | None -> None)
-
-let require_target s n =
-  match resolve_target s n with
-  | Some (T_nest nest) -> nest
-  | Some (T_parse_error (path, e)) ->
-      Format.eprintf "%s: %a@." path Ujam_ir.Parse.pp_error e;
-      exit 1
-  | None ->
-      Format.eprintf "ujc: unknown kernel or file %S; see `ujc list'@." s;
-      exit 2
-
-let target_arg =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"TARGET"
-        ~doc:"Kernel name from Table 2 or a loop-nest file (see `ujc show').")
-
-(* ------------------------------------------------------------------ *)
 (* ujc emit: lower a nest (and optionally its engine-chosen unroll) to
    a standalone OCaml program over flat float arrays — the ground-truth
    column.  Emission itself needs no toolchain; --run does, and a
    missing toolchain is a usage error (exit 2), never an exception. *)
 
 let emit_cmd =
-  let target_req =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
-  in
   let out_arg =
     Arg.(
       value & opt (some string) None
@@ -803,14 +677,13 @@ let emit_cmd =
       value & opt int Ujam_sim.Interp.default_seed
       & info [ "seed" ] ~docv:"S" ~doc:"Initial-store seed.")
   in
-  let run target n machine bound no_cache out run_it transform repeats seed =
-    let nest = require_target target n in
+  let run nest machine bound model out run_it transform repeats seed =
     let variants =
       { Ujam_native.Emit.vname = "orig"; nest }
       ::
       (if transform then begin
-         let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-         let u = Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u in
+         let r = analyze_exn ~bound ~model ~machine nest in
+         let u = Ujam_ir.Unroll.clamp_divisible nest r.Engine.u in
          [ { Ujam_native.Emit.vname = "u=" ^ Vec.to_string u;
              nest = Ujam_ir.Unroll.unroll_and_jam nest u } ]
        end
@@ -873,9 +746,8 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Lower a nest to a standalone OCaml program over flat float              arrays (optionally with the engine-chosen unroll variant),              and with $(b,--run) compile, execute, and check it against              the reference interpreter.")
-    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg
-          $ cache_arg $ out_arg $ run_flag $ transform_flag $ repeats_arg
-          $ emit_seed_arg)
+    Term.(const run $ target $ machine_arg $ bound_arg $ model_arg $ out_arg
+          $ run_flag $ transform_flag $ repeats_arg $ emit_seed_arg)
 
 let lint_cmd =
   let open Ujam_analysis in
@@ -915,24 +787,22 @@ let lint_cmd =
     let lint_nest nest =
       (Ujam_ir.Nest.name nest, Lint.run ?rules ?level ~bound ~machine nest)
     in
+    (* A parse error is a located UJ000 finding here, not an exit. *)
     let targeted =
       match target with
       | None -> []
       | Some s -> (
-          match resolve_target s n with
-          | Some (T_nest nest) -> [ lint_nest nest ]
-          | Some (T_parse_error (path, e)) ->
-              [ (path, [ Lint.of_parse_error e ]) ]
-          | None ->
-              Format.eprintf
-                "ujc: unknown kernel or file %S; see `ujc list'@." s;
-              exit 2)
+          match resolve_target n s with
+          | Ok nest -> [ lint_nest nest ]
+          | Error (`Parse e) -> [ (s, [ Lint.of_parse_error e ]) ]
+          | Error `Unknown -> target_fail s `Unknown)
     in
     let catalogue =
       if not all then []
       else
         List.map
-          (fun e -> lint_nest (build e n))
+          (fun (e : Ujam_kernels.Catalogue.entry) ->
+            lint_nest (e.Ujam_kernels.Catalogue.build ?n ()))
           Ujam_kernels.Catalogue.all
     in
     let fuzzed =
@@ -990,20 +860,12 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Run the rule-based static analyzer over a kernel, a loop-nest              file, the whole catalogue ($(b,--all)), or generated nests              ($(b,--fuzz)); exit 1 on any Error-severity diagnostic.")
-    Term.(const run $ target_arg $ all_flag $ fuzz_arg $ seed_arg $ size_arg
+    Term.(const run $ target_opt_arg $ all_flag $ fuzz_arg $ seed_arg $ size_arg
           $ machine_arg $ bound_arg $ json_arg $ rules_arg $ level_arg)
 
 let explain_cmd =
   let open Ujam_analysis in
-  let target_req =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
-  in
-  let run target n machine bound json seq level =
-    let nest = require_target target n in
+  let run nest machine bound json seq level =
     let e = Explain.run ~bound ?level ~seq ~machine nest in
     if json then print_endline (Json.to_string (Explain.to_json e))
     else Format.printf "%a@." Explain.pp e
@@ -1011,8 +873,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Explain which selection path applies to a nest and why: the              supported-class verdict, legality caps, search-box clamping,              the monotonicity guard, what the cache term changed, and              ($(b,--seq)) the legalizing transformation sequence.")
-    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg
-          $ json_arg $ seq_arg $ level_arg)
+    Term.(const run $ target $ machine_arg $ bound_arg $ json_arg $ seq_arg
+          $ level_arg)
 
 let dot_cmd =
   let input_flag =
@@ -1021,22 +883,24 @@ let dot_cmd =
       & info [ "no-input" ]
           ~doc:"Exclude input (read-read) dependences, as the UGS model does.")
   in
-  let target_req =
+  let text_flag =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
+      value & flag
+      & info [ "text" ]
+          ~doc:"Print the edges and dependence counts as text instead of DOT.")
   in
-  let run target n no_input =
-    let nest = require_target target n in
+  let run nest no_input text =
     let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
-    print_string (Ujam_depend.Graph.to_dot g)
+    if text then begin
+      Format.printf "%a@." Ujam_depend.Graph.pp g;
+      Format.printf "%a@." Ujam_depend.Stats.pp (Ujam_depend.Stats.of_graph g)
+    end
+    else print_string (Ujam_depend.Graph.to_dot g)
   in
   Cmd.v
     (Cmd.info "dot"
-       ~doc:"Emit a nest's dependence graph as Graphviz DOT (kernel name or              loop-nest file).")
-    Term.(const run $ target_req $ size_arg $ input_flag)
+       ~doc:"Print a nest's dependence graph: Graphviz DOT by default, or              the edge list with dependence counts ($(b,--text)).")
+    Term.(const run $ target $ input_flag $ text_flag)
 
 (* ------------------------------------------------------------------ *)
 (* ujc trace: run any subcommand with the observability sink enabled
@@ -1090,7 +954,7 @@ let trace_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"CMD"
-          ~doc:"Subcommand to trace; a leading $(b,engine) word is accepted               sugar (`ujc trace engine corpus'). Pass the subcommand's own               options after $(b,--).")
+          ~doc:"Subcommand to trace, followed by its own options; a leading               $(b,engine) word is accepted sugar (`ujc trace engine corpus               --count 2').")
   in
   let run out metrics args =
     let args = match args with "engine" :: rest -> rest | rest -> rest in
@@ -1132,6 +996,29 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a subcommand with span tracing enabled and write a Chrome              trace_event JSON file (open in chrome://tracing or Perfetto).")
     Term.(const run $ out_arg $ metrics_arg $ cmd_args)
+
+(* `ujc trace [OPTION]... CMD ARGS...`: everything from CMD on belongs
+   to the traced subcommand, so hide it from trace's own option parser
+   behind a `--`.  The older spelling with a `--` after CMD keeps
+   working: that separator is dropped. *)
+let trace_argv = function
+  | prog :: trace :: args ->
+      let rec drop_sep = function
+        | "--" :: rest -> rest
+        | a :: rest -> a :: drop_sep rest
+        | [] -> []
+      in
+      let rec split own = function
+        | (("-o" | "--out" | "--metrics") as o) :: v :: rest ->
+            split (v :: o :: own) rest
+        | "--" :: _ as rest -> List.rev_append own rest
+        | o :: rest when String.length o > 1 && o.[0] = '-' ->
+            split (o :: own) rest
+        | cmd :: rest -> List.rev_append own ("--" :: cmd :: drop_sep rest)
+        | [] -> List.rev own
+      in
+      prog :: trace :: split [] args
+  | argv -> argv
 
 (* ------------------------------------------------------------------ *)
 (* ujc serve: the persistent optimization service.  The daemon's
@@ -1216,10 +1103,9 @@ let serve_cmd =
       value & flag
       & info [ "quiet" ] ~doc:"Suppress the stderr lifecycle summary.")
   in
-  let run machine bound max_loops no_cache model seq domains socket stdio smoke
+  let run machine bound max_loops model seq domains socket stdio smoke
       cache_size cache_file batch timeout_ms max_request_bytes metrics_out
       trace_out quiet =
-    let model = effective_model no_cache model in
     match smoke with
     | Some n ->
         let r = Serve.smoke ~requests:(max 1 n) ~domains () in
@@ -1246,9 +1132,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the persistent optimization service: line-delimited JSON              requests (optimize, explain, lint, metrics, ping, shutdown)              over a Unix socket and/or stdio, answered from a              content-addressed result cache and a Domain worker pool.")
-    Term.(const run $ machine_arg $ serve_bound_arg $ max_loops_arg $ cache_arg
-          $ model_arg $ seq_arg $ domains_arg $ socket_arg $ stdio_flag
-          $ smoke_arg $ cache_size_arg $ cache_file_arg $ batch_arg
+    Term.(const run $ machine_arg $ serve_bound_arg $ max_loops_arg $ model_arg
+          $ seq_arg $ domains_arg $ socket_arg $ stdio_flag $ smoke_arg $ cache_size_arg $ cache_file_arg $ batch_arg
           $ timeout_arg $ max_bytes_arg $ metrics_out_arg $ trace_out_arg
           $ quiet_flag)
 
@@ -1258,32 +1143,24 @@ let () =
   (* cmdliner reserves single-dash spellings for one-letter names; accept
      the documented "--n" as sugar for "-n". *)
   let remap argv = Array.map (fun a -> if a = "--n" then "-n" else a) argv in
-  let group =
-    Cmd.group info
-      [ list_cmd; show_cmd; analyze_cmd; tables_cmd; optimize_cmd; simulate_cmd;
-        compile_cmd; fortran_cmd; verify_cmd; graph_cmd; corpus_cmd; fuzz_cmd;
-        emit_cmd; lint_cmd; explain_cmd; dot_cmd; trace_cmd; serve_cmd ]
+  let cmds =
+    [ list_cmd; show_cmd; analyze_cmd; tables_cmd; optimize_cmd; simulate_cmd;
+      verify_cmd; corpus_cmd; fuzz_cmd; emit_cmd; lint_cmd; explain_cmd;
+      dot_cmd; trace_cmd; serve_cmd ]
   in
+  let group = Cmd.group info cmds in
   (* An unknown first word used to fall through to cmdliner's generic
      usage error (exit 124) without naming the commands.  Catch it up
      front: reject argv(1) only when it is not an option and not a
      prefix of any known command name (cmdliner accepts unambiguous
      prefixes, so `ujc optim' must keep working). *)
-  let known =
-    [ "list"; "show"; "analyze"; "tables"; "optimize"; "simulate"; "compile";
-      "fortran"; "verify"; "graph"; "corpus"; "fuzz"; "emit"; "lint";
-      "explain"; "dot"; "trace"; "serve" ]
-  in
+  let known = List.map Cmd.name cmds in
   (if Array.length Sys.argv > 1 then
      let cmd = Sys.argv.(1) in
-     let is_prefix_of name =
-       String.length cmd <= String.length name
-       && String.equal (String.sub name 0 (String.length cmd)) cmd
-     in
      if
        String.length cmd > 0
        && cmd.[0] <> '-'
-       && not (List.exists is_prefix_of known)
+       && not (List.exists (String.starts_with ~prefix:cmd) known)
      then begin
        Format.eprintf "ujc: unknown subcommand %S@." cmd;
        Format.eprintf "known subcommands: %s@."
@@ -1291,4 +1168,12 @@ let () =
        exit 2
      end);
   dispatch_ref := (fun argv -> Cmd.eval ~argv:(remap argv) group);
-  exit (Cmd.eval ~argv:(remap Sys.argv) group)
+  let argv =
+    if
+      Array.length Sys.argv > 1
+      && String.length Sys.argv.(1) >= 2
+      && String.starts_with ~prefix:Sys.argv.(1) "trace"
+    then Array.of_list (trace_argv (Array.to_list Sys.argv))
+    else Sys.argv
+  in
+  exit (Cmd.eval ~argv:(remap argv) group)

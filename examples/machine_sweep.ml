@@ -5,7 +5,12 @@
    Run with: dune exec examples/machine_sweep.exe *)
 
 open Ujam_linalg
-open Ujam_core
+open Ujam_engine
+
+let choose ~machine nest =
+  match Engine.analyze ~bound:8 ~machine nest with
+  | Ok r -> r
+  | Error e -> failwith (Error.to_string e)
 
 let () =
   let nest = Ujam_kernels.Kernels.mmjki ~n:64 () in
@@ -16,11 +21,10 @@ let () =
   List.iter
     (fun fp_registers ->
       let machine = Ujam_machine.Presets.generic ~fp_registers () in
-      let r = Driver.optimize ~bound:8 ~machine nest in
-      let c = r.Driver.choice in
+      let r = choose ~machine nest in
       Format.printf "%-6d %-10s %-8d %-10.3f %d/%d@." fp_registers
-        (Vec.to_string c.Search.u) c.Search.registers c.Search.balance
-        c.Search.memory_ops c.Search.flops)
+        (Vec.to_string r.Engine.u) r.Engine.registers r.Engine.balance_after
+        r.Engine.memory_ops r.Engine.flops)
     [ 8; 16; 32; 64; 128 ];
 
   Format.printf "@.miss-penalty sweep (32 registers):@.";
@@ -28,7 +32,7 @@ let () =
   List.iter
     (fun miss_penalty ->
       let machine = Ujam_machine.Presets.generic ~miss_penalty () in
-      let r = Driver.optimize ~bound:8 ~machine nest in
+      let r = choose ~machine nest in
       Format.printf "%-8d %-10s %-10.3f@." miss_penalty
-        (Vec.to_string r.Driver.choice.Search.u) r.Driver.choice.Search.balance)
+        (Vec.to_string r.Engine.u) r.Engine.balance_after)
     [ 0; 5; 10; 20; 40; 80 ]

@@ -4,6 +4,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Ujam_core
+open Ujam_engine
 
 let () =
   (* A matrix-matrix multiply in JKI order, written with the DSL.  The
@@ -25,19 +26,27 @@ let () =
   (* Choose unroll amounts for an Alpha-like machine: balance the loop
      (memory ops per flop, including miss costs) against the machine. *)
   let machine = Ujam_machine.Presets.alpha in
-  let report = Driver.optimize ~bound:6 ~machine nest in
-  Format.printf "=== decision ===@.%a@.@." Driver.pp report;
+  let report =
+    match Engine.analyze ~bound:6 ~machine nest with
+    | Ok r -> r
+    | Error e -> failwith (Error.to_string e)
+  in
+  (* The engine only chooses u; applying it is the caller's step. *)
+  let transformed =
+    Ujam_ir.Transform.apply_exn (Ujam_ir.Transform.Unroll report.Engine.u) nest
+  in
+  let plan = Scalar_replace.plan transformed in
+  Format.printf "=== decision ===@.%a@.@." (Engine.pp_report ~machine ~plan)
+    report;
 
   Format.printf "=== after unroll-and-jam ===@.%a@.@." Ujam_ir.Nest.pp
-    report.Driver.transformed;
+    transformed;
   Format.printf "=== after scalar replacement ===@.%a@.@." Ujam_ir.Nest.pp
-    (Scalar_replace.apply report.Driver.transformed report.Driver.plan);
+    (Scalar_replace.apply transformed plan);
 
   (* Check the prediction against the cache + CPU simulator. *)
   let before = Ujam_sim.Runner.run ~machine nest in
-  let after =
-    Ujam_sim.Runner.run ~machine ~plan:report.Driver.plan report.Driver.transformed
-  in
+  let after = Ujam_sim.Runner.run ~machine ~plan transformed in
   Format.printf "=== simulation ===@.before: %a@.after:  %a@.speedup: %.2fx@."
     Ujam_sim.Runner.pp before Ujam_sim.Runner.pp after
     (before.Ujam_sim.Runner.cycles /. after.Ujam_sim.Runner.cycles)

@@ -7,6 +7,8 @@
 open Ujam_linalg
 open Ujam_core
 open Ujam_reuse
+module Engine = Ujam_engine.Engine
+module Model = Ujam_engine.Model
 
 let describe nest =
   let d = Ujam_ir.Nest.depth nest in
@@ -46,15 +48,24 @@ let () =
   let nest = Ujam_kernels.Kernels.sor () in
   List.iter
     (fun cache ->
-      let r = Driver.optimize ~bound:6 ~cache ~machine nest in
-      let before = Ujam_sim.Runner.run ~machine nest in
-      let after =
-        Ujam_sim.Runner.run ~machine ~plan:r.Driver.plan r.Driver.transformed
+      let model : (module Model.MODEL) =
+        if cache then (module Model.Ugs_tables) else (module Model.No_cache)
       in
+      let r =
+        match Engine.analyze ~bound:6 ~model ~machine nest with
+        | Ok r -> r
+        | Error e -> failwith (Ujam_engine.Error.to_string e)
+      in
+      let transformed =
+        Ujam_ir.Transform.apply_exn (Ujam_ir.Transform.Unroll r.Engine.u) nest
+      in
+      let plan = Scalar_replace.plan transformed in
+      let before = Ujam_sim.Runner.run ~machine nest in
+      let after = Ujam_sim.Runner.run ~machine ~plan transformed in
       Format.printf
         "@.sor with %s model: beta_L(0)=%.2f -> chose u=%a, simulated normalized \
          time %.3f@."
         (if cache then "cache" else "no-cache")
-        r.Driver.original.Search.balance Vec.pp r.Driver.choice.Search.u
+        r.Engine.balance_before Vec.pp r.Engine.u
         (Ujam_sim.Runner.normalized ~baseline:before after))
     [ false; true ]

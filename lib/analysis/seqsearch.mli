@@ -53,7 +53,7 @@ val search :
   machine:Ujam_machine.Machine.t ->
   Nest.t ->
   outcome
-(** Defaults match {!Ujam_core.Driver.optimize}: [bound] 10,
+(** Defaults match {!Ujam_core.Analysis_ctx.create}: [bound] 10,
     [max_loops] 2, [cache] true; [max_candidates] (default 12) bounds
     the enumeration. *)
 

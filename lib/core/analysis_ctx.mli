@@ -3,11 +3,8 @@
     Every selection strategy consumes the same derived facts: the
     dependence graph (with and without input edges), the safety vector,
     the locality ranking of the outer loops, the UGS partition, the
-    bounded unroll space, and the GTS/GSS/RRS balance tables.  Before
-    this module each code path re-derived them from scratch (and
-    [Driver.speedup_estimate] rebuilt the balance tables a second time on
-    data its report already held).  A context computes each fact at most
-    once, behind lazy memo fields, and exposes per-stage wall-clock
+    bounded unroll space, and the GTS/GSS/RRS balance tables.  A
+    context computes each fact at most once, behind lazy memo fields, and exposes per-stage wall-clock
     counters so corpus runs can report where analysis time goes. *)
 
 type stage = Graph | Tables | Search | Sim
@@ -32,7 +29,7 @@ val create :
   machine:Ujam_machine.Machine.t ->
   Ujam_ir.Nest.t ->
   t
-(** Defaults match {!Driver.optimize}: [bound] 10, [max_loops] 2.
+(** Defaults: [bound] 10 (the paper's per-dimension cap), [max_loops] 2.
     Nothing is computed until the corresponding accessor is first
     called.  [table_domains] (default 1) fans the balance-table builds
     out over {!Balance.prepare}'s Domain work queue — meant for

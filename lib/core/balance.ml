@@ -121,36 +121,32 @@ let cycles t u =
     (float_of_int (memory_ops t u) /. float_of_int m.Machine.mem_issue)
     (float_of_int (flops t u) /. float_of_int m.Machine.fp_issue)
 
-let loop_balance t ~cache u =
+(* With [level], misses are folded at that level's line and each
+   unserviced miss is charged its penalty over its access time; without
+   it, at the machine's own line and cost.  On a flat machine the
+   synthesized L1 carries exactly those fields, so [~level:L1] and
+   [~cache:true] coincide. *)
+let loop_balance ?(level : Machine.Level.t option) t ~cache u =
   let v_m = float_of_int (memory_ops t u) in
   let v_f = float_of_int (flops t u) in
   if v_f = 0.0 then infinity
-  else if not cache then v_m /. v_f
-  else begin
-    let m = misses t u in
-    let serviced = t.machine.Machine.prefetch_bandwidth *. cycles t u in
-    let unserviced = Float.max 0.0 (m -. serviced) in
-    (v_m +. (unserviced *. Machine.miss_ratio_cost t.machine)) /. v_f
-  end
-
-(* Same balance shape, priced at one hierarchy level: misses at that
-   level's line, each unserviced miss charged its penalty over its
-   access time.  With the flat machine's synthesized L1 this reduces to
-   [loop_balance ~cache:true]. *)
-let loop_balance_level t ~(level : Machine.Level.t) u =
-  let v_m = float_of_int (memory_ops t u) in
-  let v_f = float_of_int (flops t u) in
-  if v_f = 0.0 then infinity
-  else begin
-    let m = misses_with ~line:level.Machine.Level.line t u in
-    let serviced = t.machine.Machine.prefetch_bandwidth *. cycles t u in
-    let unserviced = Float.max 0.0 (m -. serviced) in
-    let cost =
-      float_of_int level.Machine.Level.penalty
-      /. float_of_int level.Machine.Level.access
-    in
-    (v_m +. (unserviced *. cost)) /. v_f
-  end
+  else
+    match level with
+    | None when not cache -> v_m /. v_f
+    | _ ->
+        let line, cost =
+          match level with
+          | Some l ->
+              ( l.Machine.Level.line,
+                float_of_int l.Machine.Level.penalty
+                /. float_of_int l.Machine.Level.access )
+          | None ->
+              (t.machine.Machine.cache_line, Machine.miss_ratio_cost t.machine)
+        in
+        let m = misses_with ~line t u in
+        let serviced = t.machine.Machine.prefetch_bandwidth *. cycles t u in
+        let unserviced = Float.max 0.0 (m -. serviced) in
+        (v_m +. (unserviced *. cost)) /. v_f
 
 let group_counts t u =
   List.map

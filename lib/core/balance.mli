@@ -55,14 +55,14 @@ val misses_with : ?line:int -> t -> Vec.t -> float
 val cycles : t -> Vec.t -> float
 (** Steady-state issue-bound cycles per unrolled iteration. *)
 
-val loop_balance : t -> cache:bool -> Vec.t -> float
-
-val loop_balance_level :
-  t -> level:Ujam_machine.Machine.Level.t -> Vec.t -> float
-(** The cache balance priced at one hierarchy level: misses at the
-    level's line, charged [penalty / access].  On the flat machine's
-    synthesized L1 ({!Ujam_machine.Machine.effective_levels}) this
-    coincides with [loop_balance ~cache:true]. *)
+val loop_balance :
+  ?level:Ujam_machine.Machine.Level.t -> t -> cache:bool -> Vec.t -> float
+(** [beta_L(u)]: memory operations plus unserviced miss cost per flop.
+    [~cache:false] is the all-hits Carr-Kennedy balance.  [level] prices
+    the misses at one hierarchy level (its line, charged
+    [penalty / access]) and overrides [cache]; on the flat machine's
+    synthesized L1 ({!Ujam_machine.Machine.effective_levels}) it
+    coincides with [~cache:true]. *)
 
 val group_counts : t -> Vec.t -> (string * int * int) list
 (** Per UGS: base name, [g_T(u)], [g_S(u)] — exposed for reporting. *)

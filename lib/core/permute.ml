@@ -24,7 +24,3 @@ let best_legal ~machine nest =
   let permutation, cost = pick ranked in
   { permutation; cost; original_cost;
     permuted = Transform.apply_exn (Transform.Interchange permutation) nest }
-
-let optimize ?bound ?cache ~machine nest =
-  let choice = best_legal ~machine nest in
-  (choice, Driver.optimize ?bound ?cache ~machine choice.permuted)

@@ -3,8 +3,8 @@
     Wolf, Maydan and Chen consider permutation together with
     unroll-and-jam (Sec. 2 / 5.3); this module provides the combination
     within our framework: pick the legal loop order with the best
-    innermost locality (McKinley–Carr–Tseng loop cost), then run the
-    balance-driven unroll-and-jam driver on the result. *)
+    innermost locality (McKinley–Carr–Tseng loop cost); callers then run
+    the balance-driven unroll-and-jam analysis on the permuted nest. *)
 
 type choice = {
   permutation : int array;        (** new level -> old level *)
@@ -18,11 +18,3 @@ val best_legal :
 (** The lowest-cost permutation that is both expressible (triangular
     bounds keep their outer loops) and dependence-legal.  The identity
     permutation is always a candidate, so this never fails. *)
-
-val optimize :
-  ?bound:int ->
-  ?cache:bool ->
-  machine:Ujam_machine.Machine.t ->
-  Ujam_ir.Nest.t ->
-  choice * Driver.report
-(** Permute, then unroll-and-jam. *)

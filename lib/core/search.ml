@@ -15,11 +15,7 @@ type choice = {
 
 let evaluate ?level ~cache b u =
   let beta_m = Ujam_machine.Machine.balance (Balance.machine b) in
-  let balance =
-    match level with
-    | Some l -> Balance.loop_balance_level b ~level:l u
-    | None -> Balance.loop_balance b ~cache u
-  in
+  let balance = Balance.loop_balance ?level b ~cache u in
   { u;
     balance;
     objective = Float.abs (balance -. beta_m);

@@ -30,7 +30,7 @@ val best :
     [R] is pointwise monotone — and records the number of skipped cells
     in the [search.pruned_cells] histogram.  [~prune:false] forces the
     exhaustive scan; both return the same choice.  [level] prices the
-    balance at one hierarchy level ({!Balance.loop_balance_level}),
+    balance at one hierarchy level ({!Balance.loop_balance} [~level]),
     overriding [cache]. *)
 
 val evaluate :

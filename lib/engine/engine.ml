@@ -2,6 +2,8 @@ open Ujam_linalg
 open Ujam_ir
 open Ujam_core
 module Obs = Ujam_obs.Obs
+module Json = Ujam_obs.Json
+module Machine = Ujam_machine.Machine
 module Diagnostic = Ujam_analysis.Diagnostic
 
 (* Engine metrics: no-ops until the observability sink is enabled. *)
@@ -28,6 +30,8 @@ type nest_report = {
   memory_ops : int;
   flops : int;
   speedup : float;
+  safety : int array;
+  ranked : (int * float) list;
   sequence : Ujam_analysis.Passes.step list;
   diagnostics : Diagnostic.t list;
 }
@@ -99,6 +103,26 @@ let add_timings (acc : Analysis_ctx.timings) (t : Analysis_ctx.timings) =
   acc.Analysis_ctx.search_s <- acc.Analysis_ctx.search_s +. t.Analysis_ctx.search_s;
   acc.Analysis_ctx.sim_s <- acc.Analysis_ctx.sim_s +. t.Analysis_ctx.sim_s
 
+(* Modelled cycles per *original* iteration: issue-bound cycles of the
+   unrolled body plus unhidden miss stalls, normalised by the number of
+   body copies. *)
+let cycles_per_orig_iteration (machine : Machine.t) (c : Search.choice) misses =
+  let copies = Unroll_space.copies c.Search.u in
+  let issue =
+    Float.max
+      (float_of_int c.Search.memory_ops /. float_of_int machine.Machine.mem_issue)
+      (float_of_int c.Search.flops /. float_of_int machine.Machine.fp_issue)
+  in
+  let stall = misses *. float_of_int machine.Machine.miss_penalty in
+  (issue +. stall) /. float_of_int copies
+
+let speedup ~machine balance ~original ~choice =
+  let m_before = Balance.misses balance original.Search.u in
+  let m_after = Balance.misses balance choice.Search.u in
+  let before = cycles_per_orig_iteration machine original m_before in
+  let after = cycles_per_orig_iteration machine choice m_after in
+  if after = 0.0 then 1.0 else before /. after
+
 let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
   let module M = (val model : Model.MODEL) in
   let ( let* ) = Result.bind in
@@ -128,7 +152,7 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
     in
     let ctx = Analysis_ctx.create ~bound ~max_loops ~machine target in
     let result =
-      let* _safety = guard Error.Graph (fun () -> Analysis_ctx.safety ctx) in
+      let* safety = guard Error.Graph (fun () -> Analysis_ctx.safety ctx) in
       let* balance = guard Error.Tables (fun () -> Analysis_ctx.balance ctx) in
       (* Monotonicity guard: strategies that prune the search box rely
          on the register table being pointwise non-decreasing.  Certify
@@ -152,7 +176,7 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
       in
       let* speedup =
         guard Error.Search (fun () ->
-            Driver.speedup ~machine balance ~original ~choice)
+            speedup ~machine balance ~original ~choice)
       in
       Ok
         { nest_name = Nest.name nest;
@@ -165,6 +189,8 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
           memory_ops = choice.Search.memory_ops;
           flops = choice.Search.flops;
           speedup;
+          safety;
+          ranked = Analysis_ctx.ranked ctx;
           sequence;
           diagnostics =
             (seq_diags
@@ -387,6 +413,24 @@ let pp_nest_outcome ppf = function
         r.diagnostics
   | Error e -> Error.pp ppf e
 
+let pp_report ~machine ~plan ppf r =
+  let bounds =
+    Array.map (fun b -> if b = max_int then "inf" else string_of_int b) r.safety
+  in
+  Format.fprintf ppf
+    "@[<v>%s on %s (%s model)@,\
+     beta_M = %.3f; original beta_L = %.3f; chosen u = %a; final beta_L = %.3f@,\
+     registers %d/%d, V_M %d, V_F %d@,\
+     safety bounds: %s; locality ranking: %s@,%a@]"
+    r.nest_name machine.Machine.name
+    (if r.model = "ugs" then "cache" else r.model)
+    (Machine.balance machine) r.balance_before Vec.pp r.u r.balance_after
+    r.registers machine.Machine.fp_registers r.memory_ops r.flops
+    (String.concat "," (Array.to_list bounds))
+    (String.concat ","
+       (List.map (fun (l, c) -> Printf.sprintf "L%d:%.2f" l c) r.ranked))
+    Scalar_replace.pp_report plan
+
 let pp_routine ppf r =
   List.iter
     (fun outcome ->
@@ -411,12 +455,14 @@ let to_string report = Format.asprintf "%a" pp report
 (* ------------------------------------------------------------------ *)
 (* JSON. *)
 
+let json_of_vec v = Json.List (List.map (fun x -> Json.Int x) (Vec.to_list v))
+
 let nest_outcome_to_json = function
   | Ok r ->
       Json.Obj
         ([ ("nest", Json.Str r.nest_name);
           ("model", Json.Str r.model);
-          ("u", Json.of_vec r.u);
+          ("u", json_of_vec r.u);
           ("balance_before", Json.Float r.balance_before);
           ("balance_after", Json.Float r.balance_after);
           ("objective", Json.Float r.objective);

@@ -22,6 +22,10 @@ type nest_report = {
   memory_ops : int;
   flops : int;
   speedup : float;           (** modelled cycles before / after *)
+  safety : int array;        (** per-level legal extra copies *)
+  ranked : (int * float) list;
+      (** locality ranking of the outer levels, best first; with
+          [safety] it explains which loops joined the unroll space *)
   sequence : Ujam_analysis.Passes.step list;
       (** legalizing transformation prefix chosen by the [seq] search
           (with per-step why-legal notes); empty unless [~seq:true]
@@ -133,8 +137,23 @@ val routines_of_catalogue :
 
 val pp : Format.formatter -> corpus_report -> unit
 val pp_nest_outcome : Format.formatter -> nest_outcome -> unit
+(** One line per nest, as in the corpus report. *)
+
+val pp_report :
+  machine:Ujam_machine.Machine.t ->
+  plan:Ujam_core.Scalar_replace.plan ->
+  Format.formatter ->
+  nest_report ->
+  unit
+(** The full text report for a single nest: machine and loop balance,
+    the chosen vector, register pressure, safety bounds, locality
+    ranking, and the scalar-replacement [plan] of the transformed nest.
+    The caller builds [plan] ({!Ujam_core.Scalar_replace.plan} on
+    [Transform.Unroll u] of the nest), so the analysis path never pays
+    for it. *)
+
 val pp_timings : Format.formatter -> corpus_report -> unit
 val to_string : corpus_report -> string
 
-val nest_outcome_to_json : nest_outcome -> Json.t
-val to_json : ?timings:bool -> corpus_report -> Json.t
+val nest_outcome_to_json : nest_outcome -> Ujam_obs.Json.t
+val to_json : ?timings:bool -> corpus_report -> Ujam_obs.Json.t

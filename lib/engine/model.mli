@@ -41,7 +41,7 @@ module No_cache : MODEL
 
 module Ugs_l2 : MODEL
 (** UGS tables with the balance priced at hierarchy level 2
-    ({!Ujam_core.Balance.loop_balance_level}) — jam for the L2 working
+    ({!Ujam_core.Balance.loop_balance} [~level]) — jam for the L2 working
     set instead of the L1.  Falls back to the machine's deepest level
     when no level 2 exists. *)
 

@@ -195,12 +195,10 @@ type choice_check = {
   measured_speedup : float;
 }
 
-let check_choice ?(repeats = 3) ?(seed = Interp.default_seed) ?tol tc
-    (report : Ujam_core.Driver.report) =
-  let nest = report.Ujam_core.Driver.nest in
+let check_choice ?(repeats = 3) ?(seed = Interp.default_seed) ?tol tc nest
+    chosen =
   let routine = Nest.name nest in
   Error.guard ~stage:Error.Native ~routine (fun () ->
-      let chosen = report.Ujam_core.Driver.choice.Ujam_core.Search.u in
       let u = Unroll.clamp_divisible nest chosen in
       let clamped = not (Ujam_linalg.Vec.equal u chosen) in
       let transformed = Unroll.unroll_and_jam nest u in
@@ -240,14 +238,3 @@ let check_choice ?(repeats = 3) ?(seed = Interp.default_seed) ?tol tc
             measured_speedup =
               (if t_unrolled > 0.0 then t_orig /. t_unrolled else 1.0) }
       | Ok _ -> failwith "native program returned wrong unit count")
-
-let check_choice_to_json c =
-  Json.Obj
-    [ ("kernel", Json.Str c.name);
-      ("u", Json.of_vec c.u);
-      ("clamped", Json.Bool c.clamped);
-      ("equivalent", Json.Bool c.equivalent);
-      ("max_rel_err", Json.Float c.max_rel_err);
-      ("seconds_original", Json.Float c.seconds_original);
-      ("seconds_transformed", Json.Float c.seconds_transformed);
-      ("measured_speedup", Json.Float c.measured_speedup) ]

@@ -68,12 +68,12 @@ val check_choice :
   ?seed:int ->
   ?tol:float ->
   Toolchain.t ->
-  Ujam_core.Driver.report ->
+  Ujam_ir.Nest.t ->
+  Ujam_linalg.Vec.t ->
   (choice_check, Ujam_engine.Error.t) result
-(** Re-validate an optimizer decision on real hardware: compile and run
-    the original nest and the chosen unroll (clamped to divisibility),
-    check both against the interpreter, and measure the speedup the
-    tables promised.  All failures (no usable transform, compile error,
-    runtime error) are typed [Native]-stage errors. *)
-
-val check_choice_to_json : choice_check -> Ujam_engine.Json.t
+(** [check_choice tc nest u] re-validates an optimizer decision on real
+    hardware: compile and run the original nest and the chosen unroll
+    [u] (clamped to divisibility), check both against the interpreter,
+    and measure the speedup the tables promised.  All failures (no
+    usable transform, compile error, runtime error) are typed
+    [Native]-stage errors. *)

@@ -1,6 +1,7 @@
 open Ujam_ir
 open Ujam_machine
 open Ujam_engine
+module Json = Ujam_obs.Json
 open Ujam_workload
 module Obs = Ujam_obs.Obs
 

@@ -115,4 +115,4 @@ val ok : report -> bool
 (** No unexplained mismatch and no crashed layer. *)
 
 val pp : Format.formatter -> report -> unit
-val to_json : report -> Ujam_engine.Json.t
+val to_json : report -> Ujam_obs.Json.t

@@ -1,5 +1,5 @@
 open Ujam_linalg
-open Ujam_engine
+module Json = Ujam_obs.Json
 
 type kind =
   | Recount of { u : Vec.t; field : string; predicted : int; measured : int }
@@ -89,6 +89,8 @@ let pp ppf m =
   | Some why -> Format.fprintf ppf " (explained: %s)" why
   | None -> ()
 
+let json_of_vec v = Json.List (List.map (fun x -> Json.Int x) (Vec.to_list v))
+
 let json_f v = if Float.is_finite v then Json.Float v else Json.Null
 
 let to_json m =
@@ -96,15 +98,15 @@ let to_json m =
     match m.kind with
     | Recount { u; field; predicted; measured } ->
         [ ("kind", Json.Str "recount");
-          ("u", Json.of_vec u);
+          ("u", json_of_vec u);
           ("field", Json.Str field);
           ("predicted", Json.Int predicted);
           ("measured", Json.Int measured) ]
     | Sim_order { u_better; u_worse; predicted_better; predicted_worse;
                   measured_better; measured_worse } ->
         [ ("kind", Json.Str "sim-order");
-          ("u_better", Json.of_vec u_better);
-          ("u_worse", Json.of_vec u_worse);
+          ("u_better", json_of_vec u_better);
+          ("u_worse", json_of_vec u_worse);
           ("predicted_better", json_f predicted_better);
           ("predicted_worse", json_f predicted_worse);
           ("measured_better", json_f measured_better);
@@ -113,14 +115,14 @@ let to_json m =
       ->
         [ ("kind", Json.Str "cross-model");
           ("model", Json.Str model);
-          ("u", Json.of_vec u);
+          ("u", json_of_vec u);
           ("objective", json_f objective);
-          ("reference_u", Json.of_vec reference_u);
+          ("reference_u", json_of_vec reference_u);
           ("reference_objective", json_f reference_objective) ]
     | Verify { u; rule; detail } ->
         [ ("kind", Json.Str "verify");
           ("rule", Json.Str rule);
-          ("u", Json.of_vec u);
+          ("u", json_of_vec u);
           ("detail", Json.Str detail) ]
     | Native { variant; array_name; native; expected } ->
         [ ("kind", Json.Str "native");

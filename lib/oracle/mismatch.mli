@@ -77,4 +77,4 @@ val layer : t -> string
     ["cachepred"]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_json : t -> Ujam_engine.Json.t
+val to_json : t -> Ujam_obs.Json.t

@@ -1,4 +1,4 @@
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 type method_ = Optimize | Explain | Lint | Metrics | Ping | Shutdown
 

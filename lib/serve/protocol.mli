@@ -27,7 +27,7 @@
     dropped connection: the protocol layer cannot make the daemon
     exit. *)
 
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 type method_ = Optimize | Explain | Lint | Metrics | Ping | Shutdown
 

@@ -1,4 +1,4 @@
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 module Obs = Ujam_obs.Obs
 module Machine = Ujam_machine.Machine
 module Presets = Ujam_machine.Presets
@@ -303,12 +303,19 @@ let enqueue_request st conn arrival (req : Protocol.request) =
                  instead of a canonicalization. *)
               let nest = Ujam_ir.Hashcons.nest nest in
               let module M = (val model : Model.MODEL) in
+              (* The digest is alpha-invariant, which is all optimize
+                 needs: its answer names no loop.  Explain and lint
+                 diagnostics quote loop variables and site positions,
+                 so their key also carries the nest as spelled. *)
               let extra =
                 routine
+                ^ (match req.Protocol.rules with
+                  | Some rules -> "|" ^ String.concat "," rules
+                  | None -> "")
                 ^
-                match req.Protocol.rules with
-                | Some rules -> "|" ^ String.concat "," rules
-                | None -> ""
+                match meth with
+                | Protocol.Optimize -> ""
+                | _ -> "|" ^ Ujam_ir.Canon.encode nest
               in
               let key =
                 Result_cache.fingerprint

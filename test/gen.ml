@@ -122,3 +122,15 @@ let nest_and_space_gen ?max_depth () =
   return (nest, space)
 
 let to_alcotest = QCheck_alcotest.to_alcotest
+
+(* The engine's report for a nest the caller knows is in the supported
+   class (every [nest_gen] nest and catalogue kernel is); a typed error
+   fails the test with its message. *)
+let analyze_ok ?bound ?max_loops ?model ~machine nest =
+  match Ujam_engine.Engine.analyze ?bound ?max_loops ?model ~machine nest with
+  | Ok r -> r
+  | Error e -> failwith (Ujam_engine.Error.to_string e)
+
+(* Unroll-and-jam a nest by the engine's chosen vector. *)
+let transformed nest (r : Ujam_engine.Engine.nest_report) =
+  Transform.apply_exn (Transform.Unroll r.Ujam_engine.Engine.u) nest

@@ -133,6 +133,38 @@ let prop_search_optimal =
           then ok := false);
       !ok)
 
+(* On a flat machine the synthesized L1 carries the machine's own line
+   and miss cost, so the balance priced at level 1 is the cache balance:
+   pointwise over the unroll space, and end to end as the same engine
+   report from the ugs and ugs-l1 models, apart from the model name. *)
+let test_level1_is_cache_balance () =
+  let module Engine = Ujam_engine.Engine in
+  List.iter
+    (fun (machine : Machine.t) ->
+      let l1 = List.hd (Machine.effective_levels machine) in
+      List.iter
+        (fun (e : Ujam_kernels.Catalogue.entry) ->
+          let name = e.Ujam_kernels.Catalogue.name ^ "/" ^ machine.Machine.name in
+          let nest = e.Ujam_kernels.Catalogue.build () in
+          let ctx = Analysis_ctx.create ~bound:4 ~machine nest in
+          let b = Analysis_ctx.balance ctx in
+          Unroll_space.iter (Analysis_ctx.space ctx) (fun u ->
+              Alcotest.(check (float 0.0))
+                (name ^ " " ^ Vec.to_string u)
+                (Balance.loop_balance b ~cache:true u)
+                (Balance.loop_balance ~level:l1 b ~cache:false u));
+          let json (r : Engine.nest_report) =
+            Ujam_obs.Json.to_string
+              (Engine.nest_outcome_to_json (Ok { r with Engine.model = "" }))
+          in
+          Alcotest.(check string) name
+            (json (Gen.analyze_ok ~bound:8 ~machine nest))
+            (json
+               (Gen.analyze_ok ~bound:8 ~model:(Ujam_engine.Model.at_level 1)
+                  ~machine nest)))
+        Ujam_kernels.Catalogue.all)
+    [ Presets.alpha; Presets.hppa; Presets.generic () ]
+
 let suite =
   [ Alcotest.test_case "machine balance" `Quick test_machine_balance;
     Alcotest.test_case "machine validation" `Quick test_machine_validation;
@@ -145,4 +177,6 @@ let suite =
     Alcotest.test_case "register constraint" `Quick test_search_respects_registers;
     Alcotest.test_case "model choices differ on sor" `Quick test_search_tie_breaks;
     Alcotest.test_case "search == brute force" `Quick test_search_agrees_with_bruteforce;
-    Gen.to_alcotest prop_search_optimal ]
+    Gen.to_alcotest prop_search_optimal;
+    Alcotest.test_case "level-1 balance is the cache balance" `Quick
+      test_level1_is_cache_balance ]

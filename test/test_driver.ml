@@ -1,32 +1,38 @@
-(* End-to-end driver and the model baselines (brute force, dependence
-   model). *)
+(* The end-to-end pipeline through the engine and the model baselines
+   (brute force, dependence model). *)
 
 open Ujam_linalg
 open Ujam_core
 open Ujam_machine
+module Engine = Ujam_engine.Engine
 
 let v = Vec.of_list
 
+let unroll_levels ?max_loops ~bound nest =
+  Analysis_ctx.unroll_levels
+    (Analysis_ctx.create ~bound ?max_loops ~machine:Presets.alpha nest)
+
 let test_driver_report () =
   let nest = Ujam_kernels.Kernels.mmjki ~n:12 () in
-  let r = Driver.optimize ~bound:4 ~machine:Presets.alpha nest in
-  Alcotest.(check bool) "chose to unroll" true (not (Vec.is_zero r.Driver.choice.Search.u));
+  let machine = Presets.alpha in
+  let r = Gen.analyze_ok ~bound:4 ~machine nest in
+  Alcotest.(check bool) "chose to unroll" true (not (Vec.is_zero r.Engine.u));
   Alcotest.(check bool) "safety allows it" true
     (Ujam_depend.Safety.is_safe
        (Ujam_depend.Graph.build ~include_input:false nest)
-       r.Driver.choice.Search.u);
+       r.Engine.u);
   Alcotest.(check bool) "balance improved" true
-    (r.Driver.choice.Search.objective <= r.Driver.original.Search.objective);
+    (r.Engine.objective
+    <= Float.abs (r.Engine.balance_before -. Machine.balance machine));
   Alcotest.(check int) "at most two loops unrolled" 2
-    (max 2 (List.length r.Driver.unroll_levels));
+    (max 2 (List.length (unroll_levels ~bound:4 nest)));
   Alcotest.(check bool) "registers within machine" true
-    (r.Driver.choice.Search.registers <= 32);
-  let copies = Vec.fold (fun a x -> a * (x + 1)) 1 r.Driver.choice.Search.u in
+    (r.Engine.registers <= 32);
+  let copies = Vec.fold (fun a x -> a * (x + 1)) 1 r.Engine.u in
   Alcotest.(check int) "transformed body size"
     (copies * List.length (Ujam_ir.Nest.body nest))
-    (List.length (Ujam_ir.Nest.body r.Driver.transformed));
-  Alcotest.(check bool) "speedup estimate positive" true
-    (Driver.speedup_estimate r > 0.0)
+    (List.length (Ujam_ir.Nest.body (Gen.transformed nest r)));
+  Alcotest.(check bool) "speedup estimate positive" true (r.Engine.speedup > 0.0)
 
 let test_driver_respects_safety () =
   (* vpenta's J loop carries distance-1 and -2 flow dependences; they do
@@ -40,12 +46,11 @@ let test_driver_respects_safety () =
       [ loop d "J" ~level:0 ~lo:2 ~hi:17 (); loop d "I" ~level:1 ~lo:2 ~hi:17 () ]
       [ aref "A" [ i; j ] <<- rd "A" [ i +$ 1; j -$ 1 ] +: rd "B" [ i; j ] ]
   in
-  let r = Driver.optimize ~bound:4 ~machine:Presets.alpha skew in
-  Alcotest.(check bool) "blocked loop not unrolled" true
-    (Vec.is_zero r.Driver.choice.Search.u)
+  let r = Gen.analyze_ok ~bound:4 ~machine:Presets.alpha skew in
+  Alcotest.(check bool) "blocked loop not unrolled" true (Vec.is_zero r.Engine.u)
 
 let test_driver_single_loop () =
-  (* depth-1 nests have no outer loop to unroll; the driver must still
+  (* depth-1 nests have no outer loop to unroll; the engine must still
      produce a coherent report. *)
   let d = 1 in
   let open Ujam_ir.Build in
@@ -55,21 +60,22 @@ let test_driver_single_loop () =
       [ loop d "I" ~level:0 ~lo:1 ~hi:64 () ]
       [ aref "Y" [ i ] <<- rd "Y" [ i ] +: (s "A" *: rd "X" [ i ]) ]
   in
-  let r = Driver.optimize ~bound:4 ~machine:Presets.alpha nest1 in
-  Alcotest.(check bool) "u = 0" true (Vec.is_zero r.Driver.choice.Search.u);
-  Alcotest.(check int) "no unroll levels" 0 (List.length r.Driver.unroll_levels)
+  let r = Gen.analyze_ok ~bound:4 ~machine:Presets.alpha nest1 in
+  Alcotest.(check bool) "u = 0" true (Vec.is_zero r.Engine.u);
+  Alcotest.(check int) "no unroll levels" 0
+    (List.length (unroll_levels ~bound:4 nest1))
 
 let test_max_loops () =
   (* 3-deep nest where all three outer candidates carry reuse *)
   let nest = Ujam_kernels.Kernels.mmjki ~n:12 () in
-  let one = Driver.optimize ~bound:2 ~max_loops:1 ~machine:Presets.alpha nest in
-  let two = Driver.optimize ~bound:2 ~max_loops:2 ~machine:Presets.alpha nest in
-  Alcotest.(check int) "one loop" 1 (List.length one.Driver.unroll_levels);
+  let one = Gen.analyze_ok ~bound:2 ~max_loops:1 ~machine:Presets.alpha nest in
+  let two = Gen.analyze_ok ~bound:2 ~max_loops:2 ~machine:Presets.alpha nest in
+  Alcotest.(check int) "one loop" 1
+    (List.length (unroll_levels ~bound:2 ~max_loops:1 nest));
   Alcotest.(check int) "two loops (paper default)" 2
-    (List.length two.Driver.unroll_levels);
+    (List.length (unroll_levels ~bound:2 ~max_loops:2 nest));
   Alcotest.(check bool) "more loops never hurt the objective" true
-    (two.Driver.choice.Search.objective
-    <= one.Driver.choice.Search.objective +. 1e-12)
+    (two.Engine.objective <= one.Engine.objective +. 1e-12)
 
 let test_no_cache_model_matches_paper_example () =
   (* Section 3.3's example: A(J) = A(J) + B(I).  Original balance 1 (one
@@ -165,10 +171,10 @@ let prop_driver_outcome_valid =
   QCheck2.Test.make ~name:"driver: choice is safe and within registers" ~count:40
     (Gen.nest_gen ~max_depth:2 ()) (fun nest ->
       let machine = Presets.alpha in
-      let r = Driver.optimize ~bound:3 ~machine nest in
+      let r = Gen.analyze_ok ~bound:3 ~machine nest in
       let g = Ujam_depend.Graph.build ~include_input:false nest in
-      Ujam_depend.Safety.is_safe g r.Driver.choice.Search.u
-      && r.Driver.choice.Search.registers <= machine.Machine.fp_registers)
+      Ujam_depend.Safety.is_safe g r.Engine.u
+      && r.Engine.registers <= machine.Machine.fp_registers)
 
 let suite =
   [ Alcotest.test_case "driver report" `Quick test_driver_report;

@@ -1,10 +1,12 @@
-(* The unified engine: strategy parity against the driver, deterministic
-   parallel corpus runs, and per-routine error degradation. *)
+(* The unified engine: strategy parity against the bare core pipeline,
+   deterministic parallel corpus runs, and per-routine error
+   degradation. *)
 
 open Ujam_linalg
 open Ujam_core
 open Ujam_machine
 open Ujam_engine
+module Json = Ujam_obs.Json
 
 let presets = [ ("alpha", Presets.alpha); ("hppa", Presets.hppa) ]
 
@@ -12,16 +14,23 @@ let report_exn = function
   | Ok r -> r
   | Error e -> Alcotest.failf "unexpected engine error: %s" (Error.to_string e)
 
+(* The bare core pipeline: balance tables of a fresh context, then the
+   register-bounded search. *)
+let core_choice ~cache ~machine nest =
+  Search.best ~cache
+    (Analysis_ctx.balance (Analysis_ctx.create ~bound:4 ~machine nest))
+
 (* Table-2 parity: for every kernel on both evaluation machines, the
-   Ugs_tables strategy through the engine picks the same unroll vector
-   and balance as the classic driver path at the same bound. *)
+   Ugs_tables strategy through the engine (supported-class check,
+   monotonicity guard, memo) picks the same unroll vector and balance as
+   the core pipeline at the same bound. *)
 let test_parity () =
   List.iter
     (fun (mname, machine) ->
       List.iter
         (fun (e : Ujam_kernels.Catalogue.entry) ->
           let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
-          let r = Driver.optimize ~bound:4 ~machine nest in
+          let c = core_choice ~cache:true ~machine nest in
           let outcome =
             Engine.analyze ~bound:4 ~machine
               ~routine:e.Ujam_kernels.Catalogue.name nest
@@ -31,22 +40,22 @@ let test_parity () =
             (Printf.sprintf "%s/%s: same unroll vector" mname
                e.Ujam_kernels.Catalogue.name)
             true
-            (Vec.equal rep.Engine.u r.Driver.choice.Search.u);
+            (Vec.equal rep.Engine.u c.Search.u);
           Alcotest.(check (float 1e-9))
             (Printf.sprintf "%s/%s: same balance" mname
                e.Ujam_kernels.Catalogue.name)
-            r.Driver.choice.Search.balance rep.Engine.balance_after)
+            c.Search.balance rep.Engine.balance_after)
         Ujam_kernels.Catalogue.all)
     presets
 
-(* The no-cache strategy must likewise match the driver's all-hits
-   mode. *)
+(* The no-cache strategy must likewise match the core all-hits
+   search. *)
 let test_parity_no_cache () =
   List.iter
     (fun (e : Ujam_kernels.Catalogue.entry) ->
       let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
       let machine = Presets.alpha in
-      let r = Driver.optimize ~bound:4 ~cache:false ~machine nest in
+      let c = core_choice ~cache:false ~machine nest in
       let rep =
         report_exn
           (Engine.analyze ~bound:4 ~model:(module Model.No_cache) ~machine
@@ -56,7 +65,7 @@ let test_parity_no_cache () =
         (Printf.sprintf "no-cache/%s: same unroll vector"
            e.Ujam_kernels.Catalogue.name)
         true
-        (Vec.equal rep.Engine.u r.Driver.choice.Search.u))
+        (Vec.equal rep.Engine.u c.Search.u))
     Ujam_kernels.Catalogue.all
 
 (* Unsupported nests: a non-unit loop step and an out-of-class subscript
@@ -148,28 +157,31 @@ let test_corpus_deterministic () =
   Alcotest.(check string) "1 domain = 2 domains" one (run 2);
   Alcotest.(check string) "1 domain = 4 domains" one (run 4)
 
-(* The satellite regression: optimize + speedup_estimate must build the
-   balance tables exactly once. *)
+(* A strategy's search plus the evaluation of the original loop (what
+   the engine's speedup reads) must build the balance tables exactly
+   once. *)
 let test_tables_built_once () =
   let nest = Ujam_kernels.Kernels.mmjki ~n:12 () in
-  let r = Driver.optimize ~bound:4 ~machine:Presets.alpha nest in
-  Alcotest.(check int) "one build after optimize" 1
-    (Analysis_ctx.table_builds r.Driver.ctx);
-  let (_ : float) = Driver.speedup_estimate r in
-  let (_ : float) = Driver.speedup_estimate r in
-  Alcotest.(check int) "still one build after speedup_estimate" 1
-    (Analysis_ctx.table_builds r.Driver.ctx)
+  let ctx = Analysis_ctx.create ~bound:4 ~machine:Presets.alpha nest in
+  let (_ : Search.choice) = Model.Ugs_tables.analyze ctx in
+  Alcotest.(check int) "one build after the search" 1
+    (Analysis_ctx.table_builds ctx);
+  let (_ : Search.choice) =
+    Search.evaluate ~cache:true (Analysis_ctx.balance ctx) (Vec.zero 3)
+  in
+  Alcotest.(check int) "still one build after evaluating u = 0" 1
+    (Analysis_ctx.table_builds ctx)
 
-(* A context passed into the driver is reused, not rebuilt. *)
+(* A context shared by several strategies is reused, not rebuilt. *)
 let test_ctx_shared_across_calls () =
   let nest = Ujam_kernels.Kernels.dmxpy0 ~n:12 () in
   let ctx = Analysis_ctx.create ~bound:4 ~machine:Presets.alpha nest in
-  let r1 = Driver.optimize ~ctx ~machine:Presets.alpha nest in
-  let r2 = Driver.optimize ~ctx ~machine:Presets.alpha nest in
-  Alcotest.(check int) "one table build for two optimize calls" 1
+  let c1 = Model.Ugs_tables.analyze ctx in
+  let c2 = Model.Ugs_tables.analyze ctx in
+  let (_ : Search.choice) = Model.No_cache.analyze ctx in
+  Alcotest.(check int) "one table build for three searches" 1
     (Analysis_ctx.table_builds ctx);
-  Alcotest.(check bool) "same choice" true
-    (Vec.equal r1.Driver.choice.Search.u r2.Driver.choice.Search.u)
+  Alcotest.(check bool) "same choice" true (Vec.equal c1.Search.u c2.Search.u)
 
 let test_registry () =
   Alcotest.(check (list string)) "registry order"

@@ -111,8 +111,13 @@ let prop_driver_never_worse =
   QCheck2.Test.make ~name:"invariant: driver never worsens the model objective"
     ~count:40 (Gen.nest_gen ~max_depth:2 ())
     (fun nest ->
-      let r = Driver.optimize ~bound:3 ~machine:Ujam_machine.Presets.alpha nest in
-      r.Driver.choice.Search.objective <= r.Driver.original.Search.objective +. 1e-12)
+      let machine = Ujam_machine.Presets.alpha in
+      let r = Gen.analyze_ok ~bound:3 ~machine nest in
+      r.Ujam_engine.Engine.objective
+      <= Float.abs
+           (r.Ujam_engine.Engine.balance_before
+           -. Ujam_machine.Machine.balance machine)
+         +. 1e-12)
 
 let prop_interp_deterministic =
   QCheck2.Test.make ~name:"invariant: interpreter is deterministic" ~count:40

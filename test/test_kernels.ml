@@ -132,9 +132,9 @@ let test_extras_optimizable () =
   List.iter
     (fun (name, build) ->
       let nest = build ?n:(Some 8) () in
-      let r = Ujam_core.Driver.optimize ~bound:2 ~machine nest in
+      let r = Gen.analyze_ok ~bound:2 ~machine nest in
       Alcotest.(check bool) (name ^ " optimizes") true
-        (r.Ujam_core.Driver.choice.Ujam_core.Search.registers <= 32))
+        (r.Ujam_engine.Engine.registers <= 32))
     Extras.all
 
 let suite =

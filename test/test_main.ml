@@ -22,7 +22,6 @@ let () =
       ("core/driver-models", Test_driver.suite);
       ("sim", Test_sim.suite);
       ("pipeline", Test_pipeline.suite);
-      ("sim/codegen", Test_codegen.suite);
       ("kernels", Test_kernels.suite);
       ("workload", Test_workload.suite);
       ("engine", Test_engine.suite);

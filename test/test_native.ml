@@ -47,11 +47,9 @@ let kernel_specs machine =
   List.map
     (fun (e : Ujam_kernels.Catalogue.entry) ->
       let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
-      let r =
-        Ujam_core.Driver.optimize ~bound:4 ~cache:true ~machine nest
-      in
       let u =
-        Unroll.clamp_divisible nest r.Ujam_core.Driver.choice.Ujam_core.Search.u
+        Unroll.clamp_divisible nest
+          (Gen.analyze_ok ~bound:4 ~machine nest).Ujam_engine.Engine.u
       in
       let variants =
         { Emit.vname = "orig"; nest }

@@ -174,7 +174,7 @@ let test_snippet () =
     [ "let open Ujam_ir.Build in"; "nest \"repro\""; "rd \"B\"";
       "(2 *$ var d 0) +$ 1"; "~lo:1 ~hi:4" ];
   match Shrink.to_json n with
-  | Ujam_engine.Json.Obj fields ->
+  | Ujam_obs.Json.Obj fields ->
       Alcotest.(check bool) "json has loops and snippet" true
         (List.mem_assoc "loops" fields && List.mem_assoc "snippet" fields)
   | _ -> Alcotest.fail "object expected"

@@ -110,8 +110,11 @@ let test_roundtrip_transformed () =
      also stays within the parser's language *)
   let open Ujam_core in
   let nest = Ujam_kernels.Kernels.mmjki ~n:12 () in
-  let r = Driver.optimize ~bound:3 ~machine:Ujam_machine.Presets.alpha nest in
-  let out = Scalar_replace.apply r.Driver.transformed r.Driver.plan in
+  let t =
+    Gen.transformed nest
+      (Gen.analyze_ok ~bound:3 ~machine:Ujam_machine.Presets.alpha nest)
+  in
+  let out = Scalar_replace.apply t (Scalar_replace.plan t) in
   let text = Nest.to_string out in
   match Parse.nest text with
   | Error err -> Alcotest.failf "transformed loop does not re-parse: %a" Parse.pp_error err

@@ -93,18 +93,18 @@ let lower_vec nest u =
   (body, fun _iv -> pre)
 
 let prop_driver_pipeline_semantics =
-  (* For random nests, take the driver's own (safety-bounded) choice,
+  (* For random nests, take the engine's own (safety-bounded) choice,
      restricted to factors dividing the trip counts, and verify the full
      lowering semantically. *)
   QCheck2.Test.make ~name:"pipeline: driver choice + lowering preserves semantics"
     ~count:40 ~print:Gen.nest_print (Gen.nest_gen ~max_depth:2 ())
     (fun nest ->
       let machine = Ujam_machine.Presets.alpha in
-      let r = Driver.optimize ~bound:3 ~machine nest in
+      let r = Gen.analyze_ok ~bound:3 ~machine nest in
       let trips = Option.get (Nest.trip_counts nest) in
       let u =
         Vec.init (Nest.depth nest) (fun k ->
-            let want = Vec.get r.Driver.choice.Search.u k + 1 in
+            let want = Vec.get r.Ujam_engine.Engine.u k + 1 in
             let rec fit f = if f >= 1 && trips.(k) mod f = 0 then f else fit (f - 1) in
             fit want - 1)
       in

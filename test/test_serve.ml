@@ -4,7 +4,7 @@
    cache-hit byte identity, and 1-vs-N-domain byte identity. *)
 
 open Ujam_serve
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 let fresh_socket () =
   let path = Filename.temp_file "ujam_serve_test" ".sock" in
@@ -187,6 +187,45 @@ let test_repeat_hit () =
     (Printf.sprintf "hits > 0 (got %d)" summary.Serve.hits)
     true (summary.Serve.hits > 0)
 
+(* Explain and lint answers quote loop names, so a renamed re-ask must
+   not be served the first spelling's answer from the cache: after the
+   I/J spelling, the P/Q spelling gets exactly what a fresh daemon
+   answers for it. *)
+let test_renamed_not_stale () =
+  let spell i j =
+    Printf.sprintf
+      "DO %s = 1, 8\n  DO %s = 1, 0\n    Y(%s) = Y(%s) + X(%s)\n  ENDDO\nENDDO"
+      i j i i j
+  in
+  let ask meth texts =
+    fst
+      (with_server (fun path ->
+           let c = Serve.Client.connect path in
+           let answers =
+             List.map
+               (fun text ->
+                 Json.to_string
+                   (Serve.Client.request c
+                      (req ~id:(Json.Int 1)
+                         ~params:
+                           [ ("nest", Json.Str text); ("name", Json.Str "n") ]
+                         meth)))
+               texts
+           in
+           Serve.Client.close c;
+           answers))
+  in
+  List.iter
+    (fun meth ->
+      match (ask meth [ spell "I" "J"; spell "P" "Q" ], ask meth [ spell "P" "Q" ]) with
+      | [ first; cached ], [ fresh ] ->
+          Alcotest.(check bool) (meth ^ ": spellings answer differently") true
+            (first <> fresh);
+          Alcotest.(check string) (meth ^ ": renamed re-ask = fresh answer")
+            fresh cached
+      | _ -> Alcotest.fail "wrong number of answers")
+    [ "explain"; "lint" ]
+
 (* One pipelined batch of distinct nests, served by 1 domain and by 4:
    the response streams must be byte-identical. *)
 let test_domain_identity () =
@@ -248,4 +287,6 @@ let suite =
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "lru eviction" `Quick test_eviction;
     Alcotest.test_case "repeat is a hit" `Quick test_repeat_hit;
-    Alcotest.test_case "1 vs N domains" `Quick test_domain_identity ]
+    Alcotest.test_case "1 vs N domains" `Quick test_domain_identity;
+    Alcotest.test_case "renamed explain/lint not stale" `Quick
+      test_renamed_not_stale ]

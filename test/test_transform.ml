@@ -270,7 +270,7 @@ let test_passes_located_rejection () =
         (d.Diagnostic.loc.Loc.nest = Some "antidiag")
   | Error [] -> Alcotest.fail "empty rejection"
 
-(* Every kernel x machine: the driver's chosen unroll vector flows
+(* Every kernel x machine: the engine's chosen unroll vector flows
    through the gated pipeline — legality, structure and Verify all
    agree with the one-shot path. *)
 let test_kernels_through_gates () =
@@ -279,20 +279,15 @@ let test_kernels_through_gates () =
       List.iter
         (fun (e : Ujam_kernels.Catalogue.entry) ->
           let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
-          let r = Ujam_core.Driver.optimize ~bound:4 ~machine nest in
-          match
-            Passes.apply_seq nest
-              [ Transform.Unroll r.Ujam_core.Driver.choice.Ujam_core.Search.u ]
-          with
+          let u = (Gen.analyze_ok ~bound:4 ~machine nest).Ujam_engine.Engine.u in
+          match Passes.apply_seq nest [ Transform.Unroll u ] with
           | Ok (transformed, _) ->
               Alcotest.(check bool)
                 (e.Ujam_kernels.Catalogue.name ^ ": gated == one-shot")
                 true
-                (transformed
-                = Unroll.unroll_and_jam nest
-                    r.Ujam_core.Driver.choice.Ujam_core.Search.u)
+                (transformed = Unroll.unroll_and_jam nest u)
           | Error ds ->
-              Alcotest.failf "%s: driver choice rejected: %s"
+              Alcotest.failf "%s: engine choice rejected: %s"
                 e.Ujam_kernels.Catalogue.name
                 (String.concat "; "
                    (List.map (fun d -> d.Diagnostic.message) ds)))
