@@ -8,6 +8,9 @@ module Obs = Ujam_obs.Obs
    for the sweep engine. *)
 let h_build = Obs.histogram "tables.build_s"
 
+(* Work counter: unroll-space cells filled, one bump per [prepare]. *)
+let m_cells = Obs.counter "tables.cells"
+
 type ugs_tables = {
   ugs : Ugs.t;
   stream : Locality.stream;
@@ -75,6 +78,7 @@ let prepare ?(domains = 1) ?groups ~machine space nest =
     groups }
   in
   Obs.Histogram.record h_build (Unix.gettimeofday () -. t0);
+  Obs.Counter.add m_cells (Unroll_space.card space);
   t
 
 let space t = t.space

@@ -25,7 +25,8 @@ val prepare :
     {!Analysis_ctx}); without it the partition is rebuilt here.
     [domains] fans the independent table builds (per-UGS exact tables,
     fused stream summaries) out over a deterministic {!Par} work queue;
-    the result is identical for any domain count. *)
+    the result is identical for any domain count.  Adds the space's cell
+    count to the [tables.cells] counter. *)
 
 val space : t -> Unroll_space.t
 val machine : t -> Ujam_machine.Machine.t

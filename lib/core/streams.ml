@@ -103,11 +103,12 @@ let iter_box u f =
 (* Streams of the unrolled loop, from the original UGS alone.  Each GTS
    class of the original body gets a merge key (m over the unroll levels,
    delta on the innermost loop) relative to its component root; after
-   unrolling by [u] the classes of the unrolled body are the points of
-   the union of the key-shifted boxes, and each covering class deposits
-   its members there, time-shifted by its key delta.  The component
-   decomposition and per-member offsets depend only on the UGS, so
-   [unrolled_fn] computes them once and returns a per-[u] closure. *)
+   unrolling by [u] the classes of the unrolled body are the point
+   classes ({!Solvers.point_class}) of the union of the key-shifted
+   boxes, and each covering class deposits its members there,
+   time-shifted by its key delta.  The component decomposition and
+   per-member offsets depend only on the UGS, so [unrolled_fn] computes
+   them once and returns a per-[u] closure. *)
 let unrolled_parts space ~localized (ugs : Ugs.t) =
   let h = ugs.Ugs.h in
   let solver =
@@ -134,44 +135,29 @@ let unrolled_parts space ~localized (ugs : Ugs.t) =
             cls ))
       classes
   in
-  (* Component decomposition with keys relative to component roots. *)
-  let comps :
-      (Vec.t * ((Site.t * int * bool) list * Solvers.key) list ref) list ref =
-    ref []
+  let comps =
+    Solvers.components ~dim:(Unroll_space.depth space) ~solver fst
+      resolved_classes
+    |> List.map (List.map (fun ((_, members), key) -> (members, key)))
   in
-  List.iter
-    (fun (c0, members) ->
-      let rec place = function
-        | [] ->
-            let key = { Solvers.m = Vec.zero (Unroll_space.depth space); delta = 0 } in
-            comps := !comps @ [ (c0, ref [ (members, key) ]) ]
-        | (root, cell) :: rest -> (
-            match solver ~c_from:root ~c_to:c0 with
-            | Some key -> cell := !cell @ [ (members, key) ]
-            | None -> place rest)
-      in
-      place !comps)
-    resolved_classes;
   let invariant = Selfreuse.has_self_temporal ~localized h in
-  let equiv = Solvers.temporal_point_equiv ~h ~localized in
-  (comps, invariant, equiv)
+  (comps, invariant, Solvers.temporal_point_class ~h ~localized)
 
 let unrolled_fn space ~localized (ugs : Ugs.t) =
   let h = ugs.Ugs.h in
-  let comps, invariant, equiv = unrolled_parts space ~localized ugs in
+  let comps, invariant, point_class = unrolled_parts space ~localized ugs in
   fun u ->
     if not (Unroll_space.mem space u) then
       invalid_arg "Streams.of_ugs_unrolled: unroll vector out of space";
     List.concat_map
-      (fun (_, cell) ->
-        (* Points of the union of shifted boxes, modulo the unroll-space
-           kernel directions; copies at equivalent points pool into the
-           representative's member set, time-shifted by the witness. *)
-        (* Newest rep first; classes are pairwise inequivalent, so at
-           most one rep can match a point and the scan order is
-           irrelevant — a final reverse restores discovery order
-           without the quadratic append-per-rep. *)
-        let reps : (Vec.t * member list ref) list ref = ref [] in
+      (fun comp ->
+        (* Points of the union of shifted boxes, modulo the localized
+           lattice; copies in one class pool into the representative's
+           member set, time-shifted by [t p - t rep].  Representatives
+           are kept newest first and reversed once: stream order is
+           their discovery order. *)
+        let classes = Hashtbl.create 16 in
+        let reps = ref [] in
         List.iter
           (fun (members, { Solvers.m; delta }) ->
             (* iter_box enumerates offsets lexicographically: the running
@@ -179,33 +165,31 @@ let unrolled_fn space ~localized (ugs : Ugs.t) =
             let copy_rank = ref (-1) in
             iter_box u (fun o ->
                 incr copy_rank;
-                let p = Vec.add m o in
-                let rec find = function
-                  | [] ->
-                      let cell = ref [] in
-                      reps := (p, cell) :: !reps;
-                      (cell, 0)
-                  | (r, cell) :: rest -> (
-                      match equiv p r with
-                      | Some shift -> (cell, shift)
-                      | None -> find rest)
+                let key, t = point_class (Vec.add m o) in
+                let t_rep, cell =
+                  match Hashtbl.find_opt classes key with
+                  | Some rep -> rep
+                  | None ->
+                      let rep = (t, ref []) in
+                      Hashtbl.add classes key rep;
+                      reps := rep :: !reps;
+                      rep
                 in
-                let cell, shift = find !reps in
                 List.iter
                   (fun (s, d_rel, is_def) ->
                     cell :=
                       { site = s;
-                        delta = delta + d_rel + shift;
+                        delta = delta + d_rel + t - t_rep;
                         is_def;
                         copy = !copy_rank }
                       :: !cell)
                   members))
-          !cell;
+          comp;
         List.concat_map
           (fun (_, cell) ->
             split_at_defs ~base:ugs.Ugs.base ~h ~invariant (time_sort (List.rev !cell)))
           (List.rev !reps))
-      !comps
+      comps
 
 let of_ugs_unrolled space ~localized ugs u = unrolled_fn space ~localized ugs u
 
@@ -233,119 +217,123 @@ let summarize ss =
    deposit's time offset, and the total time order — [time_sort]'s key
    is (delta desc, body-copy rank, stmt, def, site id), and the copy
    rank of offset [o] within any box [0..u] orders exactly as lex([o]).
-   So we partition and sort once, and each query walks the sorted
-   deposit arrays, skipping entries whose offset lies outside [0..u],
-   splitting at definitions and accumulating spans — no allocation, no
-   hashing, no sorting per [u]. *)
+   So we partition and sort once and flatten every class into one set
+   of arrays (class [k] owns deposits [starts.(k)] to
+   [starts.(k+1) - 1]); each query is plain loops over them, skipping
+   deposits whose offset lies outside [0..u], splitting at definitions
+   and accumulating spans — no allocation, hashing or sorting per [u]. *)
 type deposit = { off : int array; d_delta : int; d_stmt : int; d_def : bool; d_id : int }
 
+(* The RRS partitions count into [Tables]' [tables.classes] counter too. *)
+let m_classes = Ujam_obs.Obs.counter "tables.classes"
+
 let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
-  let comps, invariant, equiv = unrolled_parts space ~localized ugs in
+  let comps, invariant, point_class = unrolled_parts space ~localized ugs in
   let compare_deposit a b =
-    let c = compare b.d_delta a.d_delta in
+    let c = Int.compare b.d_delta a.d_delta in
     if c <> 0 then c
     else
       let c = compare a.off b.off in
       if c <> 0 then c
       else
-        compare
-          (a.d_stmt, a.d_def, a.d_id)
-          (b.d_stmt, b.d_def, b.d_id)
+        let c = Int.compare a.d_stmt b.d_stmt in
+        if c <> 0 then c
+        else
+          let c = Bool.compare a.d_def b.d_def in
+          if c <> 0 then c else Int.compare a.d_id b.d_id
   in
-  (* One full-box partition per component cell (the analogue of one
-     [unrolled_fn] query at the maximal vector). *)
-  let cells =
-    List.map
-      (fun (_, cell) ->
-        let reps : (Vec.t * deposit list ref) list ref = ref [] in
+  (* One full-box partition per component (the analogue of one
+     [unrolled_fn] query at the maximal vector); classes come out in
+     any order, since the summary is a sum over them. *)
+  let classes =
+    List.concat_map
+      (fun comp ->
+        let buckets = Hashtbl.create 64 in
         List.iter
           (fun (members, { Solvers.m; delta }) ->
             Unroll_space.iter space (fun o ->
-                let p = Vec.add m o in
-                let rec find = function
-                  | [] ->
-                      let bucket = ref [] in
-                      reps := (p, bucket) :: !reps;
-                      (bucket, 0)
-                  | (r, bucket) :: rest -> (
-                      match equiv p r with
-                      | Some shift -> (bucket, shift)
-                      | None -> find rest)
+                let key, t = point_class (Vec.add m o) in
+                let t_rep, bucket =
+                  match Hashtbl.find_opt buckets key with
+                  | Some b -> b
+                  | None ->
+                      let b = (t, ref []) in
+                      Hashtbl.add buckets key b;
+                      b
                 in
-                let bucket, shift = find !reps in
                 let off = Vec.to_array o in
                 List.iter
                   (fun ((s : Site.t), d_rel, is_def) ->
                     bucket :=
                       { off;
-                        d_delta = delta + d_rel + shift;
+                        d_delta = delta + d_rel + t - t_rep;
                         d_stmt = s.Site.stmt;
                         d_def = is_def;
                         d_id = s.Site.id }
                       :: !bucket)
                   members))
-          !cell;
-        List.map
-          (fun (_, bucket) ->
+          comp;
+        Hashtbl.fold
+          (fun _ (_, bucket) acc ->
             let a = Array.of_list !bucket in
             Array.sort compare_deposit a;
-            a)
-          !reps)
-      !comps
+            a :: acc)
+          buckets [])
+      comps
   in
+  Ujam_obs.Obs.Counter.add m_classes (List.length classes);
   let dim = Unroll_space.depth space in
+  let n_classes = List.length classes in
+  let starts = Array.make (n_classes + 1) 0 in
+  List.iteri
+    (fun k a -> starts.(k + 1) <- starts.(k) + Array.length a)
+    classes;
+  let deposits = Array.concat classes in
+  let offs = Array.make (Array.length deposits * dim) 0 in
+  Array.iteri (fun e d -> Array.blit d.off 0 offs (e * dim) dim) deposits;
+  let deltas = Array.map (fun d -> d.d_delta) deposits in
+  let defs = Array.map (fun d -> d.d_def) deposits in
   fun u ->
     if not (Unroll_space.mem space u) then
       invalid_arg "Streams.of_ugs_unrolled: unroll vector out of space";
-    let ub = Vec.to_array u in
-    let inside off =
-      let ok = ref true in
-      for k = 0 to dim - 1 do
-        if off.(k) > ub.(k) then ok := false
-      done;
-      !ok
-    in
     let streams = ref 0 and mem = ref 0 and regs = ref 0 in
-    List.iter
-      (List.iter (fun deposits ->
-           if invariant then begin
-             if Array.exists (fun e -> inside e.off) deposits then begin
-               incr streams;
-               incr regs
-             end
-           end
-           else begin
-             (* walk in time order, splitting at defs: mirrors
-                [split_at_defs] + [summarize] on the filtered list *)
-             let open_ = ref false and mn = ref 0 and mx = ref 0 in
-             let close () =
-               if !open_ then begin
-                 incr streams;
-                 incr mem;
-                 regs := !regs + (!mx - !mn + 1);
-                 open_ := false
-               end
-             in
-             Array.iter
-               (fun e ->
-                 if inside e.off then
-                   if e.d_def then begin
-                     close ();
-                     open_ := true;
-                     mn := e.d_delta;
-                     mx := e.d_delta
-                   end
-                   else if not !open_ then begin
-                     open_ := true;
-                     mn := e.d_delta;
-                     mx := e.d_delta
-                   end
-                   else begin
-                     if e.d_delta < !mn then mn := e.d_delta;
-                     if e.d_delta > !mx then mx := e.d_delta
-                   end)
-               deposits;
-             close ()
-           end))
-      cells;
+    for c = 0 to n_classes - 1 do
+      (* Walk class [c] in time order over the deposits inside [0..u],
+         splitting at defs: mirrors [split_at_defs] + [summarize].  An
+         invariant class is one stream in one register. *)
+      let open_ = ref false and mn = ref 0 and mx = ref 0 in
+      let e = ref starts.(c) in
+      while !e < starts.(c + 1) && not (invariant && !open_) do
+        let k = ref 0 in
+        while !k < dim && offs.((!e * dim) + !k) <= Vec.get u !k do
+          incr k
+        done;
+        if !k = dim then begin
+          let delta = deltas.(!e) in
+          if defs.(!e) || not !open_ then begin
+            if !open_ then begin
+              incr streams;
+              incr mem;
+              regs := !regs + (!mx - !mn + 1)
+            end;
+            open_ := true;
+            mn := delta;
+            mx := delta
+          end
+          else begin
+            if delta < !mn then mn := delta;
+            if delta > !mx then mx := delta
+          end
+        end;
+        incr e
+      done;
+      if !open_ then begin
+        incr streams;
+        if invariant then incr regs
+        else begin
+          incr mem;
+          regs := !regs + (!mx - !mn + 1)
+        end
+      end
+    done;
     { streams = !streams; memory_ops = !mem; registers = !regs }

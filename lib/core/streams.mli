@@ -70,6 +70,8 @@ val unrolled_summary_fn :
 (** [summarize (unrolled_fn space ~localized ugs u)] without building
     the streams: the deposit partition and its time order are computed
     once over the full space box (they are independent of [u]), and each
-    query is an allocation-free walk that filters offsets outside
-    [0..u].  Table fills ({!Rrs.summary_tables}) run on this; the test
-    suite pins its agreement with the materialised construction. *)
+    query is an allocation-free walk over flat arrays that filters
+    offsets outside [0..u].  Table fills ({!Rrs.summary_tables}) run on
+    this; the test suite pins its agreement with the materialised
+    construction.  Adds the classes found to the [tables.classes]
+    counter. *)

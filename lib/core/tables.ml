@@ -1,26 +1,15 @@
 open Ujam_linalg
 open Ujam_reuse
+module Obs = Ujam_obs.Obs
+
+(* Work counters: classes found by the exact-table partitions. *)
+let m_classes = Obs.counter "tables.classes"
 
 let total = Unroll_space.Table.prefix_sum
 
-(* Partition leaders into merge components: two leaders are in the same
-   component when the solver connects them; keys are offsets relative to
-   the component root.  Solvability differences add, so scanning against
-   roots is enough. *)
-let components ~dim ~solver leaders =
-  let comps : (Vec.t * (Vec.t * Vec.t) list ref) list ref = ref [] in
-  List.iter
-    (fun c ->
-      let rec place = function
-        | [] -> comps := !comps @ [ (c, ref [ (c, Vec.zero dim) ]) ]
-        | (root, members) :: rest -> (
-            match solver ~c_from:root ~c_to:c with
-            | Some { Solvers.m; _ } -> members := !members @ [ (c, m) ]
-            | None -> place rest)
-      in
-      place !comps)
-    leaders;
-  List.map (fun (_, members) -> !members) !comps
+let components space ~solver leaders =
+  Solvers.components ~dim:(Unroll_space.depth space) ~solver Fun.id leaders
+  |> List.map (List.map (fun (_, { Solvers.m; _ }) -> m))
 
 (* Per-copy group table.  T[u'] counts the leaders whose copy at offset
    u' starts a new group: leader j's copy at u' duplicates an earlier
@@ -30,7 +19,6 @@ let components ~dim ~solver leaders =
    kernel lattice.  Summing T over u' <= u (the paper's Sum) yields the
    group count after unrolling by u. *)
 let compute_table space ~solver ~kernel_gens leaders =
-  let dim = Unroll_space.depth space in
   let n = List.length leaders in
   let t = Unroll_space.Table.create space n in
   let max_bound = Array.fold_left max 0 (Unroll_space.bounds space) in
@@ -55,8 +43,7 @@ let compute_table space ~solver ~kernel_gens leaders =
            (not (Vec.is_zero v)) && Unroll_space.mem space v)
   in
   List.iter
-    (fun members ->
-      let keys = List.map snd members in
+    (fun keys ->
       List.iter
         (fun kj ->
           let merge_points =
@@ -66,7 +53,7 @@ let compute_table space ~solver ~kernel_gens leaders =
              one sweep (or corner update) instead of a per-cell scan. *)
           Unroll_space.Table.add_cover t merge_points (-1))
         keys)
-    (components ~dim ~solver leaders);
+    (components space ~solver leaders);
   t
 
 let iter_box u f =
@@ -82,27 +69,22 @@ let iter_box u f =
   in
   go 0
 
-let exact_count space ~solver ~equiv leaders u =
+let exact_count space ~solver ~point_class leaders u =
   if not (Unroll_space.mem space u) then
     invalid_arg "Tables.exact_count: unroll vector out of space";
-  let count = ref 0 in
-  List.iter
-    (fun members ->
-      (* Distinct points modulo the kernel directions of the unroll
-         space: two offsets are one group when [equiv] relates them. *)
-      let reps : Vec.t list ref = ref [] in
+  List.fold_left
+    (fun count keys ->
+      (* Distinct points modulo the localized lattice: one class key per
+         group. *)
+      let classes = Hashtbl.create 64 in
       List.iter
-        (fun (_, m) ->
+        (fun m ->
           iter_box u (fun o ->
-              let p = Vec.add m o in
-              if not (List.exists (fun r -> Option.is_some (equiv p r)) !reps)
-              then begin
-                reps := p :: !reps;
-                incr count
-              end))
-        members)
-    (components ~dim:(Unroll_space.depth space) ~solver leaders);
-  !count
+              Hashtbl.replace classes (fst (point_class (Vec.add m o))) ()))
+        keys;
+      count + Hashtbl.length classes)
+    0
+    (components space ~solver leaders)
 
 let orientable v =
   Vec.for_all (fun x -> x >= 0) v || Vec.for_all (fun x -> x <= 0) v
@@ -110,13 +92,12 @@ let orientable v =
 let applicable space ~solver ~kernel_gens leaders =
   List.for_all orientable kernel_gens
   && List.for_all
-       (fun members ->
-         let keys = List.map snd members in
+       (fun keys ->
          List.for_all
            (fun ki ->
              List.for_all (fun kj -> orientable (Vec.sub ki kj)) keys)
            keys)
-       (components ~dim:(Unroll_space.depth space) ~solver leaders)
+       (components space ~solver leaders)
 
 let gts_leaders ~localized (ugs : Ugs.t) =
   List.map
@@ -162,59 +143,53 @@ let gts_applicable space ~localized ugs =
          ~unroll_levels:(Unroll_space.unroll_levels space))
     (gts_leaders ~localized ugs)
 
-(* Exact totals without the per-[u] rescan.  [equiv] is an equivalence
-   (membership of the difference in a lattice), so the copy points
-   [m + o] partition into classes independently of which box they are
-   observed in: restricting to the box [o <= u] just restricts each
-   class to its offsets inside the box.  Hence the table value at [u]
-   is the number of classes with at least one offset [<= u] — each
-   class contributes +1 on the union of the upward boxes of its
-   offsets ([add_cover]).  One partition of the full space per
-   component replaces |U| partitions of sub-boxes. *)
-let exact_totals_table space ~solver ~equiv leaders =
-  let comps = components ~dim:(Unroll_space.depth space) ~solver leaders in
+(* Exact totals without the per-[u] rescan.  Point equivalence is
+   membership of the difference in a lattice, so the copy points [m + o]
+   partition into classes independently of which box they are observed
+   in: restricting to the box [o <= u] just restricts each class to its
+   offsets inside the box.  Hence the table value at [u] is the number
+   of classes with at least one offset [<= u] — each class contributes
+   +1 on the union of the upward boxes of its offsets ([add_cover]).
+   One partition of the full space per component, one class-key lookup
+   per point. *)
+let exact_totals_table space ~solver ~point_class leaders =
   let t = Unroll_space.Table.create space 0 in
   List.iter
-    (fun members ->
-      let reps : (Vec.t * Vec.t list ref) list ref = ref [] in
+    (fun keys ->
+      let classes = Hashtbl.create 64 in
       List.iter
-        (fun (_, m) ->
+        (fun m ->
           Unroll_space.iter space (fun o ->
-              let p = Vec.add m o in
-              let rec place = function
-                | [] -> reps := (p, ref [ o ]) :: !reps
-                | (r, offsets) :: rest ->
-                    if Option.is_some (equiv p r) then offsets := o :: !offsets
-                    else place rest
-              in
-              place !reps))
-        members;
-      List.iter
-        (fun (_, offsets) -> Unroll_space.Table.add_cover t !offsets 1)
-        !reps)
-    comps;
+              let key, _ = point_class (Vec.add m o) in
+              match Hashtbl.find_opt classes key with
+              | Some offsets -> offsets := o :: !offsets
+              | None -> Hashtbl.add classes key (ref [ o ])))
+        keys;
+      Obs.Counter.add m_classes (Hashtbl.length classes);
+      Hashtbl.iter (fun _ offsets -> Unroll_space.Table.add_cover t !offsets 1) classes)
+    (components space ~solver leaders);
   t
 
 let gts_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(temporal_solver space ~localized ugs)
-    ~equiv:(Solvers.temporal_point_equiv ~h:ugs.Ujam_reuse.Ugs.h ~localized)
+    ~point_class:(Solvers.temporal_point_class ~h:ugs.Ugs.h ~localized)
     (gts_leaders ~localized ugs)
 
 let gss_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(spatial_solver space ~localized ugs)
-    ~equiv:(Solvers.spatial_point_equiv ~h:ugs.Ujam_reuse.Ugs.h ~localized)
+    ~point_class:(Solvers.spatial_point_class ~h:ugs.Ugs.h ~localized)
     (gss_leaders ~localized ugs)
 
 let gts_exact space ~localized ugs u =
   exact_count space
     ~solver:(temporal_solver space ~localized ugs)
-    ~equiv:(Solvers.temporal_point_equiv ~h:ugs.Ugs.h ~localized)
+    ~point_class:(Solvers.temporal_point_class ~h:ugs.Ugs.h ~localized)
     (gts_leaders ~localized ugs) u
 
 let gss_exact space ~localized ugs u =
   exact_count space
     ~solver:(spatial_solver space ~localized ugs)
-    ~equiv:(Solvers.spatial_point_equiv ~h:ugs.Ugs.h ~localized)
+    ~point_class:(Solvers.spatial_point_class ~h:ugs.Ugs.h ~localized)
     (gss_leaders ~localized ugs) u

@@ -10,9 +10,10 @@
     is the prefix sum over [u' <= u] — the paper's [Sum].
 
     [exact_count] enumerates the union of merge-key-shifted unroll boxes
-    directly; it is the specification the incremental algorithm is tested
-    against (and agrees with on separable-SIV nests, the paper's stated
-    domain). *)
+    directly and counts its distinct point classes
+    ({!Solvers.point_class}); it is the specification the incremental
+    algorithm is tested against (and agrees with on separable-SIV nests,
+    the paper's stated domain). *)
 
 open Ujam_linalg
 
@@ -32,10 +33,13 @@ val total : Unroll_space.Table.t -> Vec.t -> int
 val exact_count :
   Unroll_space.t ->
   solver:Solvers.t ->
-  equiv:Solvers.point_equiv ->
+  point_class:Solvers.point_class ->
   Vec.t list ->
   Vec.t ->
   int
+(** [exact_count space ~solver ~point_class leaders u]: groups after
+    unrolling by [u] — per merge component, the number of distinct
+    class keys over the copy points [m + o], [0 <= o <= u]. *)
 
 val gts_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
@@ -68,7 +72,9 @@ val gss_exact :
 val gts_exact_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
 (** Whole-space totals table (cells read with [Unroll_space.Table.get]);
-    the component decomposition is done once. *)
+    the component decomposition and the point partition (one class-key
+    lookup per point) are done once.  Adds the number of classes found
+    to the [tables.classes] counter. *)
 
 val gss_exact_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t

@@ -31,9 +31,16 @@ let depth t = Array.length t.bounds
 let bounds t = Array.copy t.bounds
 let card t = t.card
 
+(* Allocation-free: every table read checks membership. *)
 let mem t v =
-  Vec.dim v = depth t
-  && Array.for_all2 (fun b x -> x >= 0 && x <= b) t.bounds (Vec.to_array v)
+  let d = depth t in
+  Vec.dim v = d
+  &&
+  let k = ref 0 in
+  while !k < d && Vec.get v !k >= 0 && Vec.get v !k <= t.bounds.(!k) do
+    incr k
+  done;
+  !k = d
 
 let unroll_levels t =
   let acc = ref [] in
@@ -103,7 +110,9 @@ let iter_pruned t ~prune f =
 
 let index t v =
   let idx = ref 0 in
-  Array.iteri (fun k s -> idx := !idx + (s * Vec.get v k)) t.strides;
+  for k = 0 to Array.length t.strides - 1 do
+    idx := !idx + (t.strides.(k) * Vec.get v k)
+  done;
   !idx
 
 module Table = struct
@@ -207,20 +216,25 @@ module Table = struct
         if Option.is_some (corner t from_) then
           add_from t (Vec.map2 max from_ e) (-delta)
 
-  let add_cover t points delta =
+  (* The union of upward boxes depends only on the minimal antichain of
+     the in-space corners. *)
+  let minimal_corners t points =
     let points = List.sort_uniq Vec.compare (List.filter_map (corner t) points) in
-    (* The union of upward boxes depends only on the minimal antichain,
-       and 1- and 2-point antichains take the O(1) corner path. *)
+    if List.compare_length_with points 128 > 0 then points
+    else
+      List.filter
+        (fun p ->
+          not
+            (List.exists
+               (fun q -> Vec.compare q p <> 0 && Vec.leq_pointwise q p)
+               points))
+        points
+
+  (* 1- and 2-point antichains take the O(1) corner path; a single
+     point ([add_from] clips it) needs no reduction at all. *)
+  let add_cover t points delta =
     let points =
-      if List.compare_length_with points 128 > 0 then points
-      else
-        List.filter
-          (fun p ->
-            not
-              (List.exists
-                 (fun q -> Vec.compare q p <> 0 && Vec.leq_pointwise q p)
-                 points))
-          points
+      match points with [ _ ] -> points | _ -> minimal_corners t points
     in
     match points with
     | [] -> ()

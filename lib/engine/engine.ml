@@ -123,18 +123,24 @@ let speedup ~machine balance ~original ~choice =
   let after = cycles_per_orig_iteration machine choice m_after in
   if after = 0.0 then 1.0 else before /. after
 
+(* A loop with a constant trip count of 0 (lint's UJ002) makes the body
+   dead: there is nothing to balance, so the search is skipped. *)
+let dead_body nest =
+  Array.exists (fun l -> Loop.trip_const l = Some 0) (Nest.loops nest)
+
 let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
   let module M = (val model : Model.MODEL) in
   let ( let* ) = Result.bind in
   let outcome =
     let* () = Error.check_supported ~routine nest in
     let guard stage f = Error.guard ~stage ~routine f in
+    let dead = dead_body nest in
     (* Sequence mode: when the safety fence binds, look for a short
        skew/retime prefix that legalizes more of the unroll space; the
        rest of the pipeline then runs on the legalized nest, carrying
        the chosen steps (and their UJ026 certificate) in the report. *)
     let* legalized =
-      if not seq then Ok None
+      if dead || not seq then Ok None
       else
         guard Error.Search (fun () ->
             let o =
@@ -153,6 +159,26 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
     let ctx = Analysis_ctx.create ~bound ~max_loops ~machine target in
     let result =
       let* safety = guard Error.Graph (fun () -> Analysis_ctx.safety ctx) in
+      if dead then
+        (* The original loop, no tables built: a dead body does no
+           flops and no memory operations, so its balance is undefined
+           (infinite, as for any nest without floating-point work). *)
+        Ok
+          { nest_name = Nest.name nest;
+            model = M.name;
+            u = Vec.zero (Nest.depth target);
+            balance_before = infinity;
+            balance_after = infinity;
+            objective = infinity;
+            registers = 0;
+            memory_ops = 0;
+            flops = 0;
+            speedup = 1.0;
+            safety;
+            ranked = Analysis_ctx.ranked ctx;
+            sequence;
+            diagnostics = seq_diags }
+      else
       let* balance = guard Error.Tables (fun () -> Analysis_ctx.balance ctx) in
       (* Monotonicity guard: strategies that prune the search box rely
          on the register table being pointwise non-decreasing.  Certify

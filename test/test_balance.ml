@@ -165,6 +165,46 @@ let test_level1_is_cache_balance () =
         Ujam_kernels.Catalogue.all)
     [ Presets.alpha; Presets.hppa; Presets.generic () ]
 
+(* Deterministic allocation gate for table construction: a cold
+   [Balance.prepare] over the first [alloc_gate_nests] nests of the
+   pinned corpus (generator seed 1997) at bound 8.  Allocation, unlike
+   wall time, is a pure function of the code and the input, so it can
+   be gated exactly.  The class-key partition measures 2,135 minor words
+   per cell here and the ceiling is that plus 25%; the representative
+   scan it replaced (pairwise rational solves) measured 17,340, so a
+   return to quadratic partitioning fails.  Wall time is not gated. *)
+let alloc_gate_nests = 300
+let alloc_gate_cells = 8214
+let alloc_gate_ceiling = 2670.0
+
+let test_prepare_allocation_gate () =
+  Ujam_engine.Engine.memo_clear ();
+  Ujam_ir.Canon.memo_clear ();
+  let nests =
+    Ujam_workload.Generator.corpus ~seed:1997 ~count:1187 ()
+    |> List.concat_map (fun (r : Ujam_workload.Generator.routine) ->
+           r.Ujam_workload.Generator.nests)
+    |> List.filteri (fun i _ -> i < alloc_gate_nests)
+  in
+  let cells = ref 0 and words = ref 0.0 in
+  List.iter
+    (fun nest ->
+      let ctx =
+        Analysis_ctx.create ~bound:8 ~max_loops:2 ~machine:Presets.alpha nest
+      in
+      let space = Analysis_ctx.space ctx and groups = Analysis_ctx.ugs ctx in
+      let w0 = Gc.minor_words () in
+      ignore (Balance.prepare ~groups ~machine:Presets.alpha space nest);
+      words := !words +. (Gc.minor_words () -. w0);
+      cells := !cells + Unroll_space.card space)
+    nests;
+  Alcotest.(check int) "nests" alloc_gate_nests (List.length nests);
+  Alcotest.(check int) "cells" alloc_gate_cells !cells;
+  let per_cell = !words /. float_of_int !cells in
+  if per_cell > alloc_gate_ceiling then
+    Alcotest.failf "Balance.prepare: %.0f minor words per cell, ceiling %.0f"
+      per_cell alloc_gate_ceiling
+
 let suite =
   [ Alcotest.test_case "machine balance" `Quick test_machine_balance;
     Alcotest.test_case "machine validation" `Quick test_machine_validation;
@@ -179,4 +219,6 @@ let suite =
     Alcotest.test_case "search == brute force" `Quick test_search_agrees_with_bruteforce;
     Gen.to_alcotest prop_search_optimal;
     Alcotest.test_case "level-1 balance is the cache balance" `Quick
-      test_level1_is_cache_balance ]
+      test_level1_is_cache_balance;
+    Alcotest.test_case "prepare allocation gate (corpus, bound 8)" `Quick
+      test_prepare_allocation_gate ]

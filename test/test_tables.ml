@@ -263,6 +263,101 @@ let prop_summary_fn_matches_streams =
         (Ugs.of_nest nest);
       !ok)
 
+(* The per-[u] summary query walks flat arrays: beyond its 4-word
+   result record it allocates nothing, however many classes it visits. *)
+let test_summary_query_allocation () =
+  let nest = Ujam_kernels.Kernels.mmjki ~n:12 () in
+  let d = Nest.depth nest in
+  let space = Unroll_space.make ~bounds:[| 3; 3; 0 |] in
+  let fns =
+    List.map
+      (fun g -> Streams.unrolled_summary_fn space ~localized:(innermost d) g)
+      (Ugs.of_nest nest)
+  in
+  let us = Unroll_space.vectors space in
+  let queries = List.length fns * List.length us in
+  let w0 = Gc.minor_words () in
+  List.iter (fun fn -> List.iter (fun u -> ignore (Sys.opaque_identity (fn u))) us) fns;
+  let per_query = (Gc.minor_words () -. w0) /. float_of_int queries in
+  if per_query > 4.5 then
+    Alcotest.failf "summary query: %.1f minor words, want the 4-word result only"
+      per_query
+
+(* The definition the class keys replace: [p ~ r] when some [x] in the
+   localized space solves [H_solve x = H (p - r)] (contiguous row
+   dropped for the spatial variant); the witness's innermost component
+   is the time shift. *)
+let reference_equiv ~h_apply ~h_solve ~localized ~truncate p r =
+  let rhs = Mat.apply h_apply (Vec.sub p r) in
+  let rhs = if truncate && Vec.dim rhs > 0 then Vec.set rhs 0 0 else rhs in
+  Option.map
+    (fun x -> Vec.get x (Mat.cols h_apply - 1))
+    (Subspace.solution_in h_solve rhs localized)
+
+let point_class_case_gen =
+  let open QCheck2.Gen in
+  let* depth = int_range 1 4 in
+  let* rows = int_range 1 3 in
+  let* zero_innermost = bool in
+  let* entries = array_size (return (rows * depth)) (int_range (-3) 3) in
+  let h =
+    Mat.init ~rows ~cols:depth (fun i j ->
+        if zero_innermost && j = depth - 1 then 0 else entries.((i * depth) + j))
+  in
+  let* b = array_size (return depth) (int_range (-3) 3) in
+  let* localized =
+    oneofl
+      [ Subspace.span_dims ~dim:depth [ depth - 1 ];
+        Subspace.trivial depth;
+        Subspace.of_basis ~dim:depth [ Vec.make b ] ]
+  in
+  let big = int_range (-(1 lsl 30)) (1 lsl 30) in
+  let* p = array_size (return depth) big in
+  (* r is p moved along the lattice (equivalent), then possibly
+     perturbed a little (sometimes within ker H) or a lot. *)
+  let* y = int_range (-1000) 1000 in
+  let* perturb =
+    oneof
+      [ return (Array.make depth 0);
+        array_size (return depth) (int_range (-2) 2);
+        array_size (return depth) big ]
+  in
+  let step =
+    match Subspace.basis localized with [ g ] -> Vec.scale y g | _ -> Vec.zero depth
+  in
+  let r = Vec.add (Vec.add (Vec.make p) step) (Vec.make perturb) in
+  return (h, localized, Vec.make p, r)
+
+let prop_point_class_matches_solver =
+  QCheck2.Test.make ~name:"solvers: point class keys == rational solve" ~count:500
+    ~print:(fun (h, localized, p, r) ->
+      Format.asprintf "H=%a@ L=%a@ p=%a@ r=%a" Mat.pp h Subspace.pp localized
+        Vec.pp p Vec.pp r)
+    point_class_case_gen
+    (fun (h, localized, p, r) ->
+      let agrees cls ~h_solve ~truncate =
+        let kp, tp = cls p and kr, tr = cls r in
+        match reference_equiv ~h_apply:h ~h_solve ~localized ~truncate p r with
+        | None -> not (Vec.equal kp kr)
+        | Some shift -> Vec.equal kp kr && tp - tr = shift
+      in
+      agrees (Solvers.temporal_point_class ~h ~localized) ~h_solve:h
+        ~truncate:false
+      && agrees
+           (Solvers.spatial_point_class ~h ~localized)
+           ~h_solve:(Selfreuse.spatial_matrix h) ~truncate:true)
+
+let test_point_class_domain () =
+  let h = Mat.identity 3 in
+  Alcotest.check_raises "2-D localized space"
+    (Invalid_argument "Solvers.point_class: localized space of dimension > 1")
+    (fun () ->
+      let (_ : Solvers.point_class) =
+        Solvers.temporal_point_class ~h
+          ~localized:(Subspace.span_dims ~dim:3 [ 1; 2 ])
+      in
+      ())
+
 let suite =
   [ Alcotest.test_case "paper Figure 1 example" `Quick test_paper_example;
     Alcotest.test_case "kernel directions collapse" `Quick test_invariant_direction;
@@ -277,4 +372,9 @@ let suite =
     Gen.to_alcotest prop_summary_fn_matches_streams;
     Gen.to_alcotest prop_groups_match_materialization;
     Gen.to_alcotest prop_incremental_matches_exact;
-    Gen.to_alcotest prop_incremental_rrs_matches_streams ]
+    Gen.to_alcotest prop_incremental_rrs_matches_streams;
+    Gen.to_alcotest prop_point_class_matches_solver;
+    Alcotest.test_case "point class: 2-D localized space rejected" `Quick
+      test_point_class_domain;
+    Alcotest.test_case "summary query allocates only its result" `Quick
+      test_summary_query_allocation ]
