@@ -954,12 +954,11 @@ let trace_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"CMD"
-          ~doc:"Subcommand to trace, followed by its own options; a leading               $(b,engine) word is accepted sugar (`ujc trace engine corpus               --count 2').")
+          ~doc:"Subcommand to trace, followed by its own options.")
   in
   let run out metrics args =
-    let args = match args with "engine" :: rest -> rest | rest -> rest in
     if args = [] then begin
-      Format.eprintf "ujc trace: missing CMD (try `ujc trace engine corpus')@.";
+      Format.eprintf "ujc trace: missing CMD (try `ujc trace corpus')@.";
       exit 2
     end;
     Obs.enable ();

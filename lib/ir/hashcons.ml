@@ -55,8 +55,6 @@ let fresh_id () =
   incr next_id;
   !next_id
 
-type stats = { hits : int; misses : int; live : int }
-
 let mix a b = (a * 0x9e3779b1) lxor b
 
 (* Identity-keyed rep → id map.  Only representatives are ever
@@ -109,7 +107,7 @@ module Set (H : Hashtbl.HashedType) = struct
         W.add set x;
         x
 
-  let stats () = { hits = !hits; misses = !misses; live = W.count set }
+  let stats () = (!hits, !misses)
 
   let reset_stats () =
     hits := 0;
@@ -345,24 +343,22 @@ let id_loop l = with_lock (fun () -> Loop_ids.find l)
 let id_nest n = with_lock (fun () -> Nest_ids.find n)
 let is_consed_nest n = Option.is_some (id_nest n)
 
-let stats () =
-  with_lock (fun () ->
-      [
-        ("affine", Affine_set.stats ());
-        ("aref", Aref_set.stats ());
-        ("expr", Expr_set.stats ());
-        ("stmt", Stmt_set.stats ());
-        ("loop", Loop_set.stats ());
-        ("nest", Nest_set.stats ());
-      ])
-
 (* Fraction of intern operations answered by an existing
    representative: the sharing the tables are buying process-wide. *)
 let sharing_ratio () =
   let hits, total =
-    List.fold_left
-      (fun (h, t) (_, s) -> (h + s.hits, t + s.hits + s.misses))
-      (0, 0) (stats ())
+    with_lock (fun () ->
+        List.fold_left
+          (fun (h, t) (hi, mi) -> (h + hi, t + hi + mi))
+          (0, 0)
+          [
+            Affine_set.stats ();
+            Aref_set.stats ();
+            Expr_set.stats ();
+            Stmt_set.stats ();
+            Loop_set.stats ();
+            Nest_set.stats ();
+          ])
   in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 

@@ -59,13 +59,6 @@ val is_consed_nest : Nest.t -> bool
 
 (** {2 Introspection} *)
 
-type stats = { hits : int; misses : int; live : int }
-
-val stats : unit -> (string * stats) list
-(** Per-table intern hit/miss counters and live representative counts,
-    keyed ["affine"], ["aref"], ["expr"], ["stmt"], ["loop"],
-    ["nest"]. *)
-
 val sharing_ratio : unit -> float
 (** Fraction of intern operations (across all tables, since the last
     {!reset_stats}) answered by an existing representative; 0.0 when

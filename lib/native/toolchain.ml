@@ -47,11 +47,6 @@ let find () =
       cached := Some r;
       r
 
-let description t =
-  if t.via_ocamlfind then
-    Printf.sprintf "ocamlfind ocamlopt (%s)" t.command
-  else Printf.sprintf "ocamlopt (%s)" t.command
-
 let read_file file =
   try
     let ic = open_in_bin file in

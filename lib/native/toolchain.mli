@@ -24,9 +24,6 @@ val probe : ?path:string -> unit -> (t, string) result
 val find : unit -> (t, string) result
 (** [probe] once, then cached for the whole process. *)
 
-val description : t -> string
-(** E.g. ["ocamlfind ocamlopt (/usr/bin/ocamlfind)"]. *)
-
 val compile : t -> src:string -> exe:string -> (unit, string) result
 (** Compile one self-contained source file to a native executable.  Runs
     in the source's directory (compiler droppings stay in the caller's

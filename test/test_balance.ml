@@ -205,6 +205,60 @@ let test_prepare_allocation_gate () =
     Alcotest.failf "Balance.prepare: %.0f minor words per cell, ceiling %.0f"
       per_cell alloc_gate_ceiling
 
+(* Deterministic end-to-end work and allocation gate: a cold
+   [Engine.run_corpus] on one domain over the pinned 200-routine corpus
+   (generator seed 1997) at bound 8, with the engine memo, the digest
+   memo and the hash-consing tables cleared first.  Of its 307 nests,
+   303 are analysed afresh ([engine.nests.ok]); the engine memo answers
+   the other four.  Nest and cell counts are a pure function of the
+   corpus and the unroll box, so they are pinned exactly, and the point
+   classes of the table partitions may only fall.  The run measures
+   74,626 minor words per nest (22,910,253 in all); the ceiling is that
+   plus 5%.  Wall time is not gated. *)
+let e2e_nests = 307
+let e2e_fresh = 303
+let e2e_cells = 8393
+let e2e_classes_ceiling = 55184
+let e2e_words_ceiling = 78357.0
+
+let test_corpus_work_gate () =
+  let module Engine = Ujam_engine.Engine in
+  let module Obs = Ujam_obs.Obs in
+  Engine.memo_clear ();
+  Ujam_ir.Canon.memo_clear ();
+  Ujam_ir.Hashcons.clear ();
+  let routines = Ujam_workload.Generator.corpus ~seed:1997 ~count:200 () in
+  let counters =
+    List.map Obs.counter [ "engine.nests.ok"; "tables.cells"; "tables.classes" ]
+  in
+  let read () = List.map Obs.Counter.value counters in
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  let before = read () in
+  let w0 = Gc.minor_words () in
+  let report =
+    Engine.run_corpus ~domains:1 ~bound:8 ~machine:Presets.alpha routines
+  in
+  let words = Gc.minor_words () -. w0 in
+  let after = read () in
+  if not was_enabled then Obs.disable ();
+  Obs.Span.clear ();
+  let fresh, cells, classes =
+    match List.map2 ( - ) after before with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
+  Alcotest.(check int) "nests ok" e2e_nests report.Engine.ok;
+  Alcotest.(check int) "engine.nests.ok" e2e_fresh fresh;
+  Alcotest.(check int) "tables.cells" e2e_cells cells;
+  if classes > e2e_classes_ceiling then
+    Alcotest.failf "tables.classes %d above the ceiling %d" classes
+      e2e_classes_ceiling;
+  let per_nest = words /. float_of_int e2e_nests in
+  if per_nest > e2e_words_ceiling then
+    Alcotest.failf "run_corpus: %.0f minor words per nest, ceiling %.0f"
+      per_nest e2e_words_ceiling
+
 let suite =
   [ Alcotest.test_case "machine balance" `Quick test_machine_balance;
     Alcotest.test_case "machine validation" `Quick test_machine_validation;
@@ -221,4 +275,6 @@ let suite =
     Alcotest.test_case "level-1 balance is the cache balance" `Quick
       test_level1_is_cache_balance;
     Alcotest.test_case "prepare allocation gate (corpus, bound 8)" `Quick
-      test_prepare_allocation_gate ]
+      test_prepare_allocation_gate;
+    Alcotest.test_case "corpus work and allocation gate (bound 8)" `Quick
+      test_corpus_work_gate ]

@@ -197,6 +197,31 @@ let test_registry () =
   Alcotest.(check bool) "unknown name rejected" true
     (Option.is_none (Model.find "magic"))
 
+(* The strategy matrix on DEC Alpha at n = 12 and bound 3: every
+   registered model (in [Model.names] order) analyses one shared
+   context per kernel.  Only the all-hits model diverges, on the three
+   kernels whose reuse it cannot see. *)
+let strategy_matrix =
+  [ ("dmxpy0", [ "(3,0)"; "(3,0)"; "(3,0)"; "(3,0)"; "(3,0)" ]);
+    ("mmjki", [ "(2,3,0)"; "(2,3,0)"; "(2,3,0)"; "(1,1,0)"; "(2,3,0)" ]);
+    ("sor", [ "(3,0)"; "(3,0)"; "(3,0)"; "(0,0)"; "(3,0)" ]);
+    ("jacobi", [ "(3,0)"; "(3,0)"; "(3,0)"; "(0,0)"; "(3,0)" ]) ]
+
+let test_strategy_matrix () =
+  List.iter
+    (fun (kernel, expect) ->
+      let e = Option.get (Ujam_kernels.Catalogue.find kernel) in
+      let ctx =
+        Analysis_ctx.create ~bound:3 ~machine:Presets.alpha
+          (e.Ujam_kernels.Catalogue.build ~n:12 ())
+      in
+      let choice m =
+        let module M = (val m : Model.MODEL) in
+        Vec.to_string (M.analyze ctx).Search.u
+      in
+      Alcotest.(check (list string)) kernel expect (List.map choice Model.all))
+    strategy_matrix
+
 (* JSON rendering stays valid on edge values (inf balance from
    zero-flop nests must become null, not a bare inf token). *)
 let test_json_non_finite () =
@@ -217,4 +242,6 @@ let suite =
     Alcotest.test_case "tables built once" `Quick test_tables_built_once;
     Alcotest.test_case "shared context reused" `Quick test_ctx_shared_across_calls;
     Alcotest.test_case "model registry" `Quick test_registry;
+    Alcotest.test_case "strategy matrix (n=12, bound 3)" `Quick
+      test_strategy_matrix;
     Alcotest.test_case "json edge values" `Quick test_json_non_finite ]

@@ -98,6 +98,50 @@ let test_corpus_domain_identity () =
   Alcotest.(check string) "1 = 2 domains" one (render 2);
   Alcotest.(check string) "1 = 4 domains" one (render 4)
 
+(* Deterministic sharing and digest-memo gate over the 19 catalogue
+   kernels (n = 12) plus the pinned 200-routine corpus (generator seed
+   1997), consed into emptied tables.  At least [sharing_floor] of all
+   intern operations must find an existing representative: the run
+   measures 0.7121, and the floor is that rounded down.  Consing
+   precomputes every digest, so re-digesting the consed nests must be
+   answered by the identity memo alone: one hit per nest and no miss,
+   that is, no re-encode.  A hit measures 4 minor words, and
+   [memo_hit_words] pins that. *)
+let sharing_floor = 0.71
+let memo_hit_words = 4.0
+
+let test_sharing_and_digest_memo () =
+  Hashcons.clear ();
+  Canon.memo_clear ();
+  let kernels =
+    List.map
+      (fun (e : Ujam_kernels.Catalogue.entry) ->
+        e.Ujam_kernels.Catalogue.build ~n:12 ())
+      Ujam_kernels.Catalogue.all
+  in
+  let corpus =
+    Ujam_workload.Generator.corpus ~seed:1997 ~count:200 ()
+    |> List.concat_map (fun (r : Ujam_workload.Generator.routine) ->
+           r.Ujam_workload.Generator.nests)
+  in
+  let consed = List.map Hashcons.nest (kernels @ corpus) in
+  let ratio = Hashcons.sharing_ratio () in
+  let hits0, misses0 = Canon.memo_stats () in
+  let w0 = Gc.minor_words () in
+  List.iter (fun n -> ignore (Canon.digest n : string)) consed;
+  let words = Gc.minor_words () -. w0 in
+  let hits1, misses1 = Canon.memo_stats () in
+  let n = List.length consed in
+  if ratio < sharing_floor then
+    Alcotest.failf "sharing ratio %.4f below the floor %.2f" ratio
+      sharing_floor;
+  Alcotest.(check int) "memo hits" n (hits1 - hits0);
+  Alcotest.(check int) "memo misses" 0 (misses1 - misses0);
+  let per_hit = words /. float_of_int n in
+  if per_hit > memo_hit_words then
+    Alcotest.failf "digest memo hit: %.1f minor words, ceiling %.0f" per_hit
+      memo_hit_words
+
 let suite =
   [ Gen.to_alcotest structure_preserved;
     Gen.to_alcotest digest_preserved;
@@ -107,4 +151,6 @@ let suite =
       test_fresh_copy_merges;
     Alcotest.test_case "float constants merge by bits" `Quick test_float_bits;
     Alcotest.test_case "corpus 1 vs N domains" `Quick
-      test_corpus_domain_identity ]
+      test_corpus_domain_identity;
+    Alcotest.test_case "sharing and digest memo gate" `Quick
+      test_sharing_and_digest_memo ]
